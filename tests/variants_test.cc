@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/dcam.h"
 #include "core/variants.h"
@@ -26,6 +27,25 @@ Tensor RandomSeries(int64_t d, int64_t n, uint64_t seed) {
   Tensor t({d, n});
   t.FillNormal(&rng, 0.0f, 1.0f);
   return t;
+}
+
+// Adaptive-k draws the fixed-k permutation stream and stops it early, so its
+// result must be the fixed-k result at k = k_used, bit for bit.
+void ExpectSameBits(const DcamResult& got, const DcamResult& want) {
+  ASSERT_EQ(got.mbar.shape(), want.mbar.shape());
+  for (int64_t i = 0; i < want.mbar.size(); ++i) {
+    ASSERT_EQ(got.mbar[i], want.mbar[i]) << "mbar, flat index " << i;
+  }
+  ASSERT_EQ(got.dcam.shape(), want.dcam.shape());
+  for (int64_t i = 0; i < want.dcam.size(); ++i) {
+    ASSERT_EQ(got.dcam[i], want.dcam[i]) << "dcam, flat index " << i;
+  }
+  ASSERT_EQ(got.mu.shape(), want.mu.shape());
+  for (int64_t i = 0; i < want.mu.size(); ++i) {
+    ASSERT_EQ(got.mu[i], want.mu[i]) << "mu, flat index " << i;
+  }
+  EXPECT_EQ(got.num_correct, want.num_correct);
+  EXPECT_EQ(got.k, want.k);
 }
 
 TEST(ExtractionRuleTest, NamesAreUniqueAndComplete) {
@@ -121,11 +141,40 @@ TEST(AdaptiveDcamTest, ExhaustedBudgetMatchesFixedK) {
   const DcamResult fixed = ComputeDcam(model.get(), series, 1, fopt);
 
   // Same seed, same permutation sequence: identical M-bar and map.
-  ASSERT_EQ(adaptive.result.mbar.shape(), fixed.mbar.shape());
-  for (int64_t i = 0; i < fixed.mbar.size(); ++i) {
-    EXPECT_NEAR(adaptive.result.mbar[i], fixed.mbar[i], 1e-5f);
+  ExpectSameBits(adaptive.result, fixed);
+}
+
+TEST(AdaptiveDcamTest, EarlyStopMatchesFixedKAtKUsed) {
+  auto model = SmallDcnn(3, 21);
+  const Tensor series = RandomSeries(3, 16, 6);
+  for (int batch : {5, 7}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    AdaptiveDcamOptions aopt;
+    aopt.batch = batch;
+    aopt.max_k = 400;
+    aopt.tolerance = 0.25;
+    aopt.seed = 17;
+    const AdaptiveDcamResult early =
+        ComputeDcamAdaptive(model.get(), series, 0, aopt);
+    ASSERT_TRUE(early.converged);
+    ASSERT_LT(early.k_used, aopt.max_k);
+
+    DcamOptions fopt;
+    fopt.k = early.k_used;
+    fopt.seed = 17;
+    const DcamResult fixed = ComputeDcam(model.get(), series, 0, fopt);
+    ExpectSameBits(early.result, fixed);
+
+    // With the ceiling at that same k, the rule fires on the last check
+    // instead, and the run is the same.
+    aopt.max_k = early.k_used;
+    const AdaptiveDcamResult at_ceiling =
+        ComputeDcamAdaptive(model.get(), series, 0, aopt);
+    EXPECT_TRUE(at_ceiling.converged);
+    EXPECT_EQ(at_ceiling.k_used, aopt.max_k);
+    EXPECT_EQ(at_ceiling.deltas, early.deltas);
+    ExpectSameBits(at_ceiling.result, fixed);
   }
-  EXPECT_EQ(adaptive.result.num_correct, fixed.num_correct);
 }
 
 TEST(AdaptiveDcamTest, ConvergesBeforeCeilingOnStableMap) {
