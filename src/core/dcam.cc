@@ -9,6 +9,48 @@
 
 namespace dcam {
 namespace core {
+namespace {
+
+// One permutation's contribution to M (Definition 2): forwards C(perm(T))
+// through the model, computes the CAM of `class_idx` over the cube rows and
+// scatters it into `msum` (D, D, n) via idx. Returns true when the model
+// classified this permutation as `class_idx` (the n_g counter's criterion).
+bool AccumulatePermutation(models::GapModel* model, const Tensor& series,
+                           int class_idx, const std::vector<int>& perm,
+                           Tensor* msum) {
+  const int64_t D = series.dim(0), n = series.dim(1);
+  DCAM_CHECK_EQ(static_cast<int64_t>(perm.size()), D);
+  DCAM_CHECK(msum != nullptr);
+  DCAM_CHECK(msum->shape() == (Shape{D, D, n}));
+
+  Tensor permuted = ApplyPermutation(series, perm);
+  Tensor batch = permuted.Reshape({1, D, n});
+  Tensor logits =
+      model->Forward(model->PrepareInput(batch), /*training=*/false);
+  const bool correct =
+      logits.Reshape({logits.size()}).Argmax() == class_idx;
+
+  // Standard CAM over the cube rows: (1, D, n) -> rows indexed by r.
+  Tensor cam_rows = cam::CamFromActivation(model->last_activation(),
+                                           model->head(), class_idx);
+  DCAM_CHECK_EQ(cam_rows.dim(1), D);
+  DCAM_CHECK_EQ(cam_rows.dim(2), n);
+
+  // M transformation (Definition 2): row r of C(S) contains, at position p,
+  // the original dimension perm[(p + r) % D]. Scatter the CAM row into
+  // M[dimension][position].
+  for (int64_t r = 0; r < D; ++r) {
+    const float* cam_row = cam_rows.data() + r * n;
+    for (int64_t p = 0; p < D; ++p) {
+      const int d = perm[(p + r) % D];
+      float* dst = msum->data() + (d * D + p) * n;
+      for (int64_t t = 0; t < n; ++t) dst[t] += cam_row[t];
+    }
+  }
+  return correct;
+}
+
+}  // namespace
 
 void ExtractDcam(const Tensor& mbar, Tensor* dcam, Tensor* mu) {
   DCAM_CHECK_EQ(mbar.rank(), 3) << "M-bar must be a (D, D, n) tensor";
@@ -51,41 +93,6 @@ void ExtractDcam(const Tensor& mbar, Tensor* dcam, Tensor* mu) {
       dcam->at(d, t) = static_cast<float>(var) * (*mu)[t];
     }
   }
-}
-
-bool AccumulatePermutation(models::GapModel* model, const Tensor& series,
-                           int class_idx, const std::vector<int>& perm,
-                           Tensor* msum) {
-  const int64_t D = series.dim(0), n = series.dim(1);
-  DCAM_CHECK_EQ(static_cast<int64_t>(perm.size()), D);
-  DCAM_CHECK(msum != nullptr);
-  DCAM_CHECK(msum->shape() == (Shape{D, D, n}));
-
-  Tensor permuted = ApplyPermutation(series, perm);
-  Tensor batch = permuted.Reshape({1, D, n});
-  Tensor logits =
-      model->Forward(model->PrepareInput(batch), /*training=*/false);
-  const bool correct =
-      logits.Reshape({logits.size()}).Argmax() == class_idx;
-
-  // Standard CAM over the cube rows: (1, D, n) -> rows indexed by r.
-  Tensor cam_rows = cam::CamFromActivation(model->last_activation(),
-                                           model->head(), class_idx);
-  DCAM_CHECK_EQ(cam_rows.dim(1), D);
-  DCAM_CHECK_EQ(cam_rows.dim(2), n);
-
-  // M transformation (Definition 2): row r of C(S) contains, at position p,
-  // the original dimension perm[(p + r) % D]. Scatter the CAM row into
-  // M[dimension][position].
-  for (int64_t r = 0; r < D; ++r) {
-    const float* cam_row = cam_rows.data() + r * n;
-    for (int64_t p = 0; p < D; ++p) {
-      const int d = perm[(p + r) % D];
-      float* dst = msum->data() + (d * D + p) * n;
-      for (int64_t t = 0; t < n; ++t) dst[t] += cam_row[t];
-    }
-  }
-  return correct;
 }
 
 DcamResult ComputeDcam(models::GapModel* model, const Tensor& series,

@@ -99,15 +99,6 @@ DcamResult ComputeDcamSerial(models::GapModel* model, const Tensor& series,
 /// (D, n) map and the mu series. Exposed for tests and ablations.
 void ExtractDcam(const Tensor& mbar, Tensor* dcam, Tensor* mu);
 
-/// One permutation's contribution to M (Definition 2): forwards C(perm(T))
-/// through the model, computes the CAM of `class_idx` over the cube rows and
-/// scatters it into `msum` (D, D, n) via idx. Returns true when the model
-/// classified this permutation as `class_idx` (the n_g counter's criterion).
-/// Building block shared by ComputeDcam and the adaptive-k variant.
-bool AccumulatePermutation(models::GapModel* model, const Tensor& series,
-                           int class_idx, const std::vector<int>& perm,
-                           Tensor* msum);
-
 }  // namespace core
 }  // namespace dcam
 

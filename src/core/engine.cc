@@ -94,7 +94,7 @@ void DcamEngine::Flush() {
   });
 
   // 2. One forward for the whole batch — under the batch's GEMM precision
-  // (every pending slot shares it; ComputeMany flushes on changes) — then
+  // (every pending slot shares it; the k-loop flushes on changes) — then
   // n_g votes from the logits.
   Tensor logits;
   {
@@ -188,8 +188,8 @@ int DcamEngine::Accumulate(const Tensor& series, int class_idx,
     slot->class_idx = class_idx;
     slot->msum = msum;
     slot->num_correct = &num_correct;
-    // Slots are pooled, so stale precisions must be reset explicitly; the
-    // adaptive-k path always runs float32.
+    // Slots are pooled, so stale precisions must be reset explicitly;
+    // Accumulate always runs float32.
     slot->precision = gemm::Precision::kFloat32;
     if (pending_count_ == config_.batch) Flush();
   }
@@ -216,74 +216,11 @@ std::vector<DcamResult> DcamEngine::ComputeMany(
 std::vector<DcamResult> DcamEngine::ComputeMany(
     const std::vector<Tensor>& series, const std::vector<int>& class_idx,
     const std::vector<DcamOptions>& options) {
-  const size_t N = series.size();
-  DCAM_CHECK_EQ(class_idx.size(), N);
-  DCAM_CHECK_EQ(options.size(), N);
-  DCAM_CHECK_EQ(pending_count_, 0) << "ComputeMany may not be re-entered";
-  std::vector<DcamResult> results(N);
-  if (N == 0) return results;
-
-  for (size_t i = 0; i < N; ++i) {
-    DCAM_CHECK_EQ(series[i].rank(), 2)
-        << "series " << i << " must be a (D, n) tensor";
-    DCAM_CHECK_GT(options[i].k, 0)
-        << "DcamOptions.k must be a positive permutation count";
-    DCAM_CHECK_GE(class_idx[i], 0);
-    DCAM_CHECK_LT(class_idx[i], model_->num_classes());
-    results[i].k = options[i].k;
+  ChunkedConfig one_round;
+  for (const DcamOptions& o : options) {
+    one_round.tick_every = std::max(one_round.tick_every, o.k);
   }
-
-  // Averages series i's accumulator over its k permutations and extracts
-  // Definition 3; with keep_mbar == false the (D, D, n) accumulator — the
-  // dominant per-instance memory — is released immediately.
-  size_t next_final = 0;
-  const auto finalize_through = [&](size_t end) {
-    for (; next_final < end; ++next_final) {
-      DcamResult& r = results[next_final];
-      const float inv = 1.0f / static_cast<float>(r.k);
-      float* m = r.mbar.data();
-      for (int64_t j = 0; j < r.mbar.size(); ++j) m[j] *= inv;
-      ExtractDcam(r.mbar, &r.dcam, &r.mu);
-      if (!options[next_final].keep_mbar) r.mbar = Tensor();
-    }
-  };
-
-  // Pack (series, permutation) pairs into batches. Permutations are drawn
-  // lazily, straight into reusable slots, so only the pending batch is ever
-  // materialized; a shape change flushes it so one input tensor serves each
-  // flush. Whenever the pending batch drains, every series whose stream is
-  // complete gets finalized, bounding live accumulators by the packing
-  // horizon instead of the dataset size.
-  for (size_t i = 0; i < N; ++i) {
-    if (pending_count_ > 0 &&
-        (pending_[0].series->shape() != series[i].shape() ||
-         pending_[0].precision != options[i].precision)) {
-      Flush();
-    }
-    if (pending_count_ == 0) finalize_through(i);
-    const int64_t D = series[i].dim(0), n = series[i].dim(1);
-    results[i].mbar = Tensor({D, D, n});
-    Rng rng(options[i].seed);
-    for (int j = 0; j < options[i].k; ++j) {
-      Slot* slot = NextSlot();
-      slot->series = &series[i];
-      slot->class_idx = class_idx[i];
-      slot->msum = &results[i].mbar;
-      slot->num_correct = &results[i].num_correct;
-      slot->precision = options[i].precision;
-      if (j == 0 && options[i].include_identity) {
-        slot->perm.resize(static_cast<size_t>(D));
-        std::iota(slot->perm.begin(), slot->perm.end(), 0);
-      } else {
-        rng.PermutationInto(static_cast<int>(D), &slot->perm);
-      }
-      if (pending_count_ == config_.batch) Flush();
-    }
-    if (pending_count_ == 0) finalize_through(i + 1);
-  }
-  Flush();
-  finalize_through(N);
-  return results;
+  return ComputeManyChunked(series, class_idx, options, one_round, nullptr);
 }
 
 std::vector<DcamResult> DcamEngine::ComputeManyChunked(
@@ -296,8 +233,7 @@ std::vector<DcamResult> DcamEngine::ComputeManyChunked(
   DCAM_CHECK(chunked.emit_partial.empty() || chunked.emit_partial.size() == N)
       << "emit_partial must be empty or match the request count";
   DCAM_CHECK_GE(chunked.tick_every, 0);
-  DCAM_CHECK_EQ(pending_count_, 0)
-      << "ComputeManyChunked may not be re-entered";
+  DCAM_CHECK_EQ(pending_count_, 0) << "DcamEngine may not be re-entered";
   std::vector<DcamResult> results(N);
   if (N == 0) return results;
 
@@ -313,9 +249,7 @@ std::vector<DcamResult> DcamEngine::ComputeManyChunked(
       chunked.tick_every > 0 ? chunked.tick_every : config_.batch;
 
   // The permutation cursor of one request: its private Rng stream plus the
-  // partial-map scratch of the emit path. Unlike ComputeMany's streaming
-  // finalize, every accumulator stays live until its request retires —
-  // round-robin refinement touches all of them each round.
+  // partial-map scratch of the emit path.
   struct Cursor {
     Rng rng;
     int drawn = 0;
@@ -328,16 +262,17 @@ std::vector<DcamResult> DcamEngine::ComputeManyChunked(
   };
   std::vector<Cursor> cursors;
   cursors.reserve(N);
-  for (size_t i = 0; i < N; ++i) {
-    cursors.emplace_back(options[i].seed);
-    results[i].mbar = Tensor({series[i].dim(0), series[i].dim(0),
-                              series[i].dim(1)});
-  }
+  for (size_t i = 0; i < N; ++i) cursors.emplace_back(options[i].seed);
 
+  // Averages request i's accumulator over the permutations it drew and
+  // extracts Definition 3; with keep_mbar == false the (D, D, n)
+  // accumulator, the dominant per-request memory, is released at once.
+  size_t live_count = N;
   const auto finalize = [&](size_t i, bool cancelled) {
     DcamResult& r = results[i];
     Cursor& c = cursors[i];
     c.live = false;
+    --live_count;
     r.cancelled = cancelled;
     r.k = c.drawn;
     const float inv = 1.0f / static_cast<float>(r.k);
@@ -350,12 +285,22 @@ std::vector<DcamResult> DcamEngine::ComputeManyChunked(
     if (!options[i].keep_mbar) r.mbar = Tensor();
   };
 
-  size_t live_count = N;
+  // Requests whose last permutation is pending. The flush that scatters it
+  // finalizes them, so accumulators are allocated at a request's first draw
+  // and released by its last flush: a single round (ComputeMany) holds only
+  // those its packing horizon touches, not one per request.
+  std::vector<size_t> completing;
+  const auto flush = [&] {
+    Flush();
+    for (size_t i : completing) finalize(i, /*cancelled=*/false);
+    completing.clear();
+  };
+
   while (live_count > 0) {
     // Draw phase: up to tick_every permutations per live request, packed
-    // into shared forward batches with the same shape/precision flush
-    // boundaries as ComputeMany. The end-of-round Flush is the tick
-    // barrier — every drawn permutation is accumulated before any callback
+    // into shared forward batches that flush on a full batch and on a
+    // shape or precision change. The end-of-round flush is the tick
+    // barrier: every drawn permutation is accumulated before any callback
     // observes a cursor.
     for (size_t i = 0; i < N; ++i) {
       Cursor& c = cursors[i];
@@ -363,8 +308,10 @@ std::vector<DcamResult> DcamEngine::ComputeManyChunked(
       if (pending_count_ > 0 &&
           (pending_[0].series->shape() != series[i].shape() ||
            pending_[0].precision != options[i].precision)) {
-        Flush();
+        flush();
       }
+      const int64_t D = series[i].dim(0);
+      if (c.drawn == 0) results[i].mbar = Tensor({D, D, series[i].dim(1)});
       const int take = std::min(tick_every, options[i].k - c.drawn);
       for (int j = 0; j < take; ++j) {
         Slot* slot = NextSlot();
@@ -374,30 +321,23 @@ std::vector<DcamResult> DcamEngine::ComputeManyChunked(
         slot->num_correct = &results[i].num_correct;
         slot->precision = options[i].precision;
         if (c.drawn == 0 && options[i].include_identity) {
-          const int64_t D = series[i].dim(0);
           slot->perm.resize(static_cast<size_t>(D));
           std::iota(slot->perm.begin(), slot->perm.end(), 0);
         } else {
-          c.rng.PermutationInto(static_cast<int>(series[i].dim(0)),
-                                &slot->perm);
+          c.rng.PermutationInto(static_cast<int>(D), &slot->perm);
         }
-        ++c.drawn;
-        if (pending_count_ == config_.batch) Flush();
+        if (++c.drawn == options[i].k) completing.push_back(i);
+        if (pending_count_ == config_.batch) flush();
       }
     }
-    Flush();
+    flush();
 
-    // Tick phase. Requests whose budget completed this round return their
-    // terminal result instead of a tick; everyone else reports its cursor
-    // and may be cancelled at this boundary.
+    // Tick phase. Every request whose budget completed has been finalized
+    // by now (terminal results are returned, not ticked); everyone else
+    // reports its cursor and may be cancelled at this boundary.
     for (size_t i = 0; i < N; ++i) {
       Cursor& c = cursors[i];
       if (!c.live) continue;
-      if (c.drawn >= options[i].k) {
-        finalize(i, /*cancelled=*/false);
-        --live_count;
-        continue;
-      }
       DcamTick tick;
       tick.index = i;
       tick.k_done = c.drawn;
@@ -429,10 +369,7 @@ std::vector<DcamResult> DcamEngine::ComputeManyChunked(
         c.prev_map = std::move(c.partial_map);
         c.partial_map = Tensor();
       }
-      if (action == TickAction::kCancel) {
-        finalize(i, /*cancelled=*/true);
-        --live_count;
-      }
+      if (action == TickAction::kCancel) finalize(i, /*cancelled=*/true);
     }
   }
   return results;

@@ -103,8 +103,9 @@ class DcamEngine {
   /// Evaluates the given permutations against `series` in batches,
   /// scattering each CAM into `msum` (D, D, n, pre-allocated, accumulated
   /// in-place). Returns how many permutations the model classified as
-  /// `class_idx` (the n_g criterion). Building block of the adaptive-k
-  /// variant, which needs custom permutation schedules.
+  /// `class_idx` (the n_g criterion). For callers that replay a permutation
+  /// schedule of their own (perfbench's stage replay); every explanation
+  /// path runs the ComputeManyChunked loop instead.
   int Accumulate(const Tensor& series, int class_idx,
                  const std::vector<std::vector<int>>& perms, Tensor* msum);
 
@@ -112,7 +113,8 @@ class DcamEngine {
   /// w.r.t. class_idx[i] under options[i]. Permutation batches are packed
   /// across series boundaries whenever consecutive series share (D, n), so
   /// tail underfill costs at most one partial batch per shape change — the
-  /// dataset-level path of Section 4.6.
+  /// dataset-level path of Section 4.6. This is ComputeManyChunked with a
+  /// single round in which every request draws its whole budget.
   std::vector<DcamResult> ComputeMany(const std::vector<Tensor>& series,
                                       const std::vector<int>& class_idx,
                                       const std::vector<DcamOptions>& options);
@@ -123,14 +125,16 @@ class DcamEngine {
                                       const std::vector<int>& class_idx,
                                       const DcamOptions& options = {});
 
-  /// Tick-granular ComputeMany for the anytime/streaming path. Requests
-  /// advance round-robin: each round draws up to `tick_every` permutations
-  /// per live request (packed into shared forward batches exactly like
-  /// ComputeMany), then `on_tick` fires once per still-unfinished request
-  /// with its cursor — and, for requests flagged in `emit_partial`, the
-  /// partial map plus the convergence delta. Returning kCancel retires the
-  /// request at that boundary; its unspent budget is simply never drawn, so
-  /// the remaining rounds pack only live requests.
+  /// The engine's k-loop: Compute, ComputeMany and ComputeDcamAdaptive are
+  /// wrappers over it, and the service's anytime/streaming path calls it
+  /// directly. Requests advance round-robin: each round draws up to
+  /// `tick_every` permutations per live request, packed into shared forward
+  /// batches across request boundaries, then `on_tick` fires once per
+  /// still-unfinished request with its cursor — and, for requests flagged
+  /// in `emit_partial`, the partial map plus the convergence delta.
+  /// Returning kCancel retires the request at that boundary; its unspent
+  /// budget is simply never drawn, so the remaining rounds pack only live
+  /// requests.
   ///
   /// Determinism: per-request accumulation order depends only on that
   /// request's own permutation order, and per-instance forwards/CAMs are
@@ -141,9 +145,14 @@ class DcamEngine {
   ///
   /// Ticks never fire for a request whose budget completed during the round
   /// (terminal results are returned, not ticked), so a request with
-  /// k <= tick_every sees zero ticks. Unlike ComputeMany, all N (D, D, n)
-  /// accumulators are live for the whole call — callers bound N (the
-  /// service chunks groups at Config::max_coalesce).
+  /// k <= tick_every sees zero ticks.
+  ///
+  /// Memory: a request's (D, D, n) accumulator is allocated at its first
+  /// draw and finalized by the flush that scatters its last permutation. In
+  /// a single round (ComputeMany) only the requests the packing horizon
+  /// touches are live at once; with several rounds every unfinished request
+  /// is, so callers bound N (the service chunks groups at
+  /// Config::max_coalesce).
   struct ChunkedConfig {
     /// Permutations drawn per request per tick round; 0 = the engine batch
     /// width (one full forward batch per round per live request).
@@ -173,8 +182,8 @@ class DcamEngine {
     Tensor* msum = nullptr;    // (D, D, n) accumulator this slot scatters into
     int* num_correct = nullptr;  // n_g counter this slot votes into
     // GEMM precision of this slot's forward. A flush evaluates one batch in
-    // one precision, so ComputeMany flushes on precision changes exactly
-    // like on shape changes.
+    // one precision, so the k-loop flushes on precision changes exactly like
+    // on shape changes.
     gemm::Precision precision = gemm::Precision::kFloat32;
   };
 

@@ -1,31 +1,11 @@
 #include "core/variants.h"
 
 #include <cmath>
-#include <numeric>
 
 #include "core/engine.h"
-#include "util/rng.h"
 
 namespace dcam {
 namespace core {
-namespace {
-
-// mu_t = sum_{d,p} mbar[d][p][t] / (2 * D) (Section 4.4.3).
-Tensor ComputeMu(const Tensor& mbar) {
-  const int64_t D = mbar.dim(0), n = mbar.dim(2);
-  Tensor mu({n});
-  for (int64_t d = 0; d < D; ++d) {
-    for (int64_t p = 0; p < D; ++p) {
-      const float* row = mbar.data() + (d * D + p) * n;
-      for (int64_t t = 0; t < n; ++t) mu[t] += row[t];
-    }
-  }
-  const float inv = 1.0f / static_cast<float>(2 * D);
-  for (int64_t t = 0; t < n; ++t) mu[t] *= inv;
-  return mu;
-}
-
-}  // namespace
 
 double RelativeL2Delta(const Tensor& a, const Tensor& b) {
   double num = 0.0, den = 0.0;
@@ -60,17 +40,11 @@ const std::vector<ExtractionRule>& AllExtractionRules() {
 }
 
 Tensor ExtractWithRule(const Tensor& mbar, ExtractionRule rule) {
-  DCAM_CHECK_EQ(mbar.rank(), 3);
+  Tensor paper_map, mu;
+  ExtractDcam(mbar, &paper_map, &mu);
+  if (rule == ExtractionRule::kVarianceTimesMu) return paper_map;
+
   const int64_t D = mbar.dim(0), n = mbar.dim(2);
-  DCAM_CHECK_EQ(mbar.dim(1), D);
-
-  if (rule == ExtractionRule::kVarianceTimesMu) {
-    Tensor map, mu;
-    ExtractDcam(mbar, &map, &mu);
-    return map;
-  }
-
-  const Tensor mu = ComputeMu(mbar);
   Tensor map({D, n});
   for (int64_t d = 0; d < D; ++d) {
     for (int64_t t = 0; t < n; ++t) {
@@ -111,80 +85,44 @@ Tensor ExtractWithRule(const Tensor& mbar, ExtractionRule rule) {
 AdaptiveDcamResult ComputeDcamAdaptive(models::GapModel* model,
                                        const Tensor& series, int class_idx,
                                        const AdaptiveDcamOptions& options) {
-  DCAM_CHECK(model != nullptr);
-  DCAM_CHECK_EQ(series.rank(), 2);
   DCAM_CHECK_GE(options.batch, 1);
   DCAM_CHECK_GE(options.max_k, options.batch);
   DCAM_CHECK_GT(options.tolerance, 0.0);
   DCAM_CHECK_GE(options.stable_batches, 1);
-  const int64_t D = series.dim(0), n = series.dim(1);
 
-  Rng rng(options.seed);
-  std::vector<int> identity(static_cast<size_t>(D));
-  std::iota(identity.begin(), identity.end(), 0);
-
+  // A fixed-k run at max_k that ticks after every batch. Each tick past the
+  // first is a convergence check; the terminal convergence score is the
+  // check at max_k. Cancelling at the tick where the rule fires leaves the
+  // fixed-k result at k = k_used, bit for bit.
   AdaptiveDcamResult out;
-  Tensor msum({D, D, n});
-  Tensor prev_map;
   int stable = 0;
-  int num_correct = 0;
-  int k = 0;
-
-  // Each convergence batch is evaluated by the batched engine in (at most)
-  // one forward; the permutation schedule (and hence the result, bit for
-  // bit) is the same as the serial per-permutation loop.
+  const auto check = [&](double delta) {
+    out.deltas.push_back(delta);
+    stable = delta < options.tolerance ? stable + 1 : 0;
+    out.converged = stable >= options.stable_batches;
+  };
+  DcamOptions fixed;
+  fixed.k = options.max_k;
+  fixed.seed = options.seed;
+  fixed.include_identity = options.include_identity;
   DcamEngine::Config engine_config;
   engine_config.batch = options.batch;
   DcamEngine engine(model, engine_config);
-  std::vector<std::vector<int>> batch_perms;
-
-  while (k < options.max_k) {
-    const int take = std::min(options.batch, options.max_k - k);
-    batch_perms.resize(static_cast<size_t>(take));
-    for (int i = 0; i < take; ++i) {
-      if (k == 0 && options.include_identity) {
-        batch_perms[static_cast<size_t>(i)] = identity;
-      } else {
-        rng.PermutationInto(static_cast<int>(D),
-                            &batch_perms[static_cast<size_t>(i)]);
-      }
-      ++k;
-    }
-    num_correct += engine.Accumulate(series, class_idx, batch_perms, &msum);
-
-    // Current M-bar = msum / k; extraction is scale-covariant in a way that
-    // does not affect the relative-delta criterion, but use the true average
-    // so result.mbar is exactly the paper's object.
-    Tensor mbar = msum.Clone();
-    const float inv = 1.0f / static_cast<float>(k);
-    for (int64_t i = 0; i < mbar.size(); ++i) mbar[i] *= inv;
-    Tensor map, mu;
-    ExtractDcam(mbar, &map, &mu);
-
-    if (!prev_map.empty()) {
-      const double delta = RelativeL2Delta(map, prev_map);
-      out.deltas.push_back(delta);
-      if (delta < options.tolerance) {
-        if (++stable >= options.stable_batches) {
-          out.converged = true;
-          out.result.dcam = std::move(map);
-          out.result.mbar = std::move(mbar);
-          out.result.mu = std::move(mu);
-          break;
-        }
-      } else {
-        stable = 0;
-      }
-    }
-    prev_map = map;
-    out.result.dcam = std::move(map);
-    out.result.mbar = std::move(mbar);
-    out.result.mu = std::move(mu);
+  DcamEngine::ChunkedConfig chunked;
+  chunked.tick_every = options.batch;
+  chunked.emit_partial = {1};
+  out.result = engine.ComputeManyChunked(
+      {series}, {class_idx}, {fixed}, chunked, [&](const DcamTick& tick) {
+        // The first tick has no previous map to compare against.
+        if (tick.k_done > options.batch) check(tick.delta);
+        return out.converged ? TickAction::kCancel : TickAction::kContinue;
+      })[0];
+  if (!out.result.cancelled && options.max_k > options.batch) {
+    check(out.result.convergence);
   }
-
-  out.k_used = k;
-  out.result.k = k;
-  out.result.num_correct = num_correct;
+  out.k_used = out.result.k;
+  out.result.cancelled = false;
+  out.result.convergence = 0.0;
   return out;
 }
 
