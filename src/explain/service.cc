@@ -120,11 +120,6 @@ void ExplainService::RegisterModel(ModelSpec spec) {
   models_.emplace(std::move(spec.id), std::move(entry));
 }
 
-void ExplainService::RegisterModel(const std::string& id, models::Model* model,
-                                   int replicas) {
-  RegisterModel(ModelSpec(id, model).Replicas(replicas));
-}
-
 void ExplainService::InvalidateModel(const std::string& id) {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -256,8 +256,8 @@ struct TicketState {
 }  // namespace internal
 
 /// The one client handle every submit surface returns: it identifies the
-/// request across its whole lifecycle and carries the cancel token (the
-/// CancelHandle role), the deadline the request was submitted with, and —
+/// request across its whole lifecycle and carries the cancel token, the
+/// deadline the request was submitted with, and —
 /// for the blocking Submit path — the result future. Move-only.
 ///
 /// Cancel() is best-effort-exact: a request still queued fails immediately
@@ -309,9 +309,6 @@ class Ticket {
   std::future<ExplanationResult> future_;
   MonotonicClock::time_point deadline_{};
 };
-
-/// Vocabulary alias: the Ticket *is* the cancel handle.
-using CancelHandle = Ticket;
 
 /// Result-cache configuration (both tiers). The cache is shared by every
 /// shard, so any replica's result answers repeats service-wide.
@@ -386,9 +383,6 @@ struct ElasticityConfig {
 ///   elastic.max_replicas = 4;
 ///   service.RegisterModel(
 ///       ModelSpec("m", &model).Replicas(1).Elastic(elastic).Placement(2));
-///
-/// replaces the old positional RegisterModel(id, model, replicas) surface
-/// (kept as a deprecated shim).
 struct ModelSpec {
   ModelSpec() = default;
   ModelSpec(std::string model_id, models::Model* m)
@@ -509,12 +503,6 @@ class ExplainService {
   /// here — so the model class must implement CloneArchitecture when the
   /// group can ever span more than one shard (including via elasticity).
   void RegisterModel(ModelSpec spec);
-
-  /// Deprecated positional shim for the pre-ModelSpec surface; forwards to
-  /// RegisterModel(ModelSpec). Prefer the spec — it is the only way to
-  /// reach elasticity and placement.
-  void RegisterModel(const std::string& id, models::Model* model,
-                     int replicas = 0);
 
   /// Invalidates everything derived from `id`'s weights: drops the model's
   /// cached results and marks its replica clones for a weight re-sync from
