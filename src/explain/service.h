@@ -257,8 +257,8 @@ struct TicketState {
 
 /// The one client handle every submit surface returns: it identifies the
 /// request across its whole lifecycle and carries the cancel token, the
-/// deadline the request was submitted with, and —
-/// for the blocking Submit path — the result future. Move-only.
+/// deadline the request was submitted with, and — for the blocking Submit
+/// path — the result future. Move-only.
 ///
 /// Cancel() is best-effort-exact: a request still queued fails immediately
 /// with CancelledError through its sink; a request already computing is

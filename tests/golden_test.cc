@@ -14,11 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iomanip>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
