@@ -1,5 +1,5 @@
 // Golden digests: FNV-64 hashes of dCAM engine, variant, model and explainer
-// outputs at fixed seeds, pinned across commits.
+// outputs, and of model gradients, at fixed seeds, pinned across commits.
 //
 // Every other bit-identity suite compares two paths inside one build: engine
 // vs serial, chunked vs blocking, sharded vs single. A change to something
@@ -50,6 +50,10 @@ const std::map<std::string, DigestTable>& Golden() {
            {"adaptive/converged_at_max_k", 0xba83b88dfb4443d0ULL},
            {"adaptive/converged_early", 0xba83b88dfb4443d0ULL},
            {"adaptive/exhausted", 0x185059ef83c1c8b1ULL},
+           {"backward/dcnn/eval", 0x5a698fc307eaf06bULL},
+           {"backward/dcnn/train", 0xe3bf46927bf332c9ULL},
+           {"backward/dresnet/eval", 0xeb2b8756f7245dd9ULL},
+           {"backward/dresnet/train", 0x3c705dc9d66e0e77ULL},
            {"chunked/cancel", 0xbe37fc5364c5118eULL},
            {"chunked/every0", 0xa493679ffb523429ULL},
            {"chunked/every1", 0xac46ae2186abf6b7ULL},
@@ -59,8 +63,10 @@ const std::map<std::string, DigestTable>& Golden() {
            {"compute_many/identity/mbar", 0xb964d34fffd38407ULL},
            {"compute_many/no_identity/map", 0xb16cc977f76747e0ULL},
            {"compute_many/no_identity/mbar", 0xe0d4e1b525f40533ULL},
+           {"engine/bf16", 0x0f2317801ab7e346ULL},
            {"explainer/cam", 0xa21e07171a13965eULL},
            {"explainer/occlusion", 0xb05b7c511e2aee49ULL},
+           {"explainer/saliency", 0x46597b53018a35ebULL},
            {"layer/00_Conv2d", 0xc3aecc015fc87edeULL},
            {"layer/01_BatchNorm", 0x6f527fcd803acb9cULL},
            {"layer/02_ReLU", 0xf2ff24543872c7beULL},
@@ -86,6 +92,10 @@ const std::map<std::string, DigestTable>& Golden() {
            {"adaptive/converged_at_max_k", 0xc3ecc40a57b53ed4ULL},
            {"adaptive/converged_early", 0xc3ecc40a57b53ed4ULL},
            {"adaptive/exhausted", 0x69da254f6e948227ULL},
+           {"backward/dcnn/eval", 0xce3f52dad2cf0657ULL},
+           {"backward/dcnn/train", 0xe6523e13e7f57231ULL},
+           {"backward/dresnet/eval", 0x0b7c074d0f7cd83eULL},
+           {"backward/dresnet/train", 0x11960910e62850e3ULL},
            {"chunked/cancel", 0x86b5807198c9cae2ULL},
            {"chunked/every0", 0x26e6443f5dbc1e03ULL},
            {"chunked/every1", 0xb7524881b91eabe3ULL},
@@ -95,8 +105,10 @@ const std::map<std::string, DigestTable>& Golden() {
            {"compute_many/identity/mbar", 0x69a8dfd58832f83dULL},
            {"compute_many/no_identity/map", 0x9730d8bbacb19b1fULL},
            {"compute_many/no_identity/mbar", 0x86930ea76eec8731ULL},
+           {"engine/bf16", 0xace243caa1aef85aULL},
            {"explainer/cam", 0x24984cc3abd69334ULL},
            {"explainer/occlusion", 0x4196908eca614ee9ULL},
+           {"explainer/saliency", 0x922d321a75402c9eULL},
            {"layer/00_Conv2d", 0xc3aecc015fc87edeULL},
            {"layer/01_BatchNorm", 0x6f527fcd803acb9cULL},
            {"layer/02_ReLU", 0xf2ff24543872c7beULL},
@@ -352,6 +364,61 @@ TEST(GoldenTest, ModelLogits) {
                     kFnv1aOffsetBasis));
 }
 
+// Logits, input gradient and every parameter gradient of one Forward +
+// Backward under a fixed upstream gradient. A train-mode pass normalizes
+// with batch statistics and takes the full BatchNorm gradient; an eval-mode
+// pass uses the running statistics, as every explainer's backward does.
+uint64_t ForwardBackwardDigest(models::Model* model, const Tensor& batch,
+                               bool training) {
+  for (nn::Parameter* p : model->Params()) p->ZeroGrad();
+  const Tensor logits = model->Forward(model->PrepareInput(batch), training);
+  const Tensor grad_input =
+      model->Backward(RandomTensor(logits.shape(), /*seed=*/9));
+  uint64_t h = Hash(logits, kFnv1aOffsetBasis);
+  h = Hash(grad_input, h);
+  for (nn::Parameter* p : model->Params()) h = Hash(p->grad, h);
+  return h;
+}
+
+// The dResNet at ResNetConfig().Scaled(8), its BatchNorm statistics moved
+// off their defaults by one training-mode forward, as in Dcnn().
+std::unique_ptr<models::ResNet> Dresnet() {
+  Rng rng(2025);
+  auto model = std::make_unique<models::ResNet>(
+      models::InputMode::kCube, kDims, kClasses,
+      models::ResNetConfig().Scaled(8), &rng);
+  model->Forward(model->PrepareInput(RandomTensor({6, kDims, 20}, 7)),
+                 /*training=*/true);
+  return model;
+}
+
+TEST(GoldenTest, ForwardBackwardGradients) {
+  const Tensor batch = RandomTensor({3, kDims, 20}, 8);
+  for (bool training : {false, true}) {
+    const std::string mode = training ? "/train" : "/eval";
+    ExpectGolden("backward/dcnn" + mode,
+                 ForwardBackwardDigest(Dcnn().get(), batch, training));
+    ExpectGolden("backward/dresnet" + mode,
+                 ForwardBackwardDigest(Dresnet().get(), batch, training));
+  }
+}
+
+// The bf16 forward lowers and multiplies through its own kernels; its map is
+// not float32's, so it is pinned on its own.
+TEST(GoldenTest, EngineComputeBf16) {
+  auto model = Dcnn();
+  core::DcamOptions options;
+  options.k = 9;
+  options.seed = 31;
+  options.precision = gemm::Precision::kBf16;
+  core::DcamEngine::Config cfg;
+  cfg.batch = 4;
+  core::DcamEngine engine(model.get(), cfg);
+  const core::DcamResult r =
+      engine.Compute(RandomTensor({kDims, 20}, 10), 1, options);
+  ExpectGolden("engine/bf16", Hash(r.mbar, MapDigest(r, kFnv1aOffsetBasis)));
+}
+
 TEST(GoldenTest, CamAndOcclusionExplainers) {
   auto model = Dcnn();
   const Tensor series = RandomTensor({kDims, 24}, 6);
@@ -361,6 +428,16 @@ TEST(GoldenTest, CamAndOcclusionExplainers) {
     ExpectGolden(std::string("explainer/") + method,
                  Hash(r.map, kFnv1aOffsetBasis));
   }
+}
+
+// Saliency takes an eval-mode Forward + Backward through the whole dCNN.
+TEST(GoldenTest, SaliencyExplainer) {
+  auto model = Dcnn();
+  const explain::ExplanationResult r =
+      explain::MakeExplainer("saliency")->Explain(
+          model.get(), RandomTensor({kDims, 24}, 6), 2,
+          explain::ExplainOptions());
+  ExpectGolden("explainer/saliency", Hash(r.map, kFnv1aOffsetBasis));
 }
 
 // One forward through a stand-alone Sequential holding the dCNN's blocks, its
