@@ -22,6 +22,12 @@ Dims SplitDims(const Tensor& t, int num_features) {
   return {t.dim(0), t.dim(1), spatial};
 }
 
+// x-hat, written once so that Backward's recomputation rounds exactly as
+// Forward did.
+float Normalize(float x, float mean, float invstd) {
+  return (x - mean) * invstd;
+}
+
 }  // namespace
 
 BatchNorm::BatchNorm(int num_features, float momentum, float eps)
@@ -40,14 +46,15 @@ Tensor BatchNorm::Forward(const Tensor& input, bool training) {
   const Dims d = SplitDims(input, num_features_);
   const int64_t N = d.batch * d.spatial;
   DCAM_CHECK_GT(N, 0);
+  // Drop the previous forward's input before allocating this one's output.
+  cached_input_ = Tensor();
   cached_training_ = training;
 
   Tensor out(input.shape());
-  cached_xhat_ = Tensor(input.shape());
-  cached_invstd_ = Tensor({num_features_});
+  EnsureTensorShape(&cached_mean_, {num_features_});
+  EnsureTensorShape(&cached_invstd_, {num_features_});
   const float* in = input.data();
   float* o = out.data();
-  float* xh = cached_xhat_.data();
 
   for (int64_t c = 0; c < d.channels; ++c) {
     double mean, var;
@@ -72,58 +79,59 @@ Tensor BatchNorm::Forward(const Tensor& input, bool training) {
       var = running_var_[c];
     }
     const float invstd = static_cast<float>(1.0 / std::sqrt(var + eps_));
+    const float m = static_cast<float>(mean);
+    cached_mean_[c] = m;
     cached_invstd_[c] = invstd;
     const float g = gamma_.value[c], bt = beta_.value[c];
-    const float m = static_cast<float>(mean);
     for (int64_t b = 0; b < d.batch; ++b) {
       const float* p = in + (b * d.channels + c) * d.spatial;
       float* q = o + (b * d.channels + c) * d.spatial;
-      float* xq = xh + (b * d.channels + c) * d.spatial;
       for (int64_t s = 0; s < d.spatial; ++s) {
-        const float xhat = (p[s] - m) * invstd;
-        xq[s] = xhat;
-        q[s] = g * xhat + bt;
+        q[s] = g * Normalize(p[s], m, invstd) + bt;
       }
     }
   }
+  cached_input_ = input;
   return out;
 }
 
 Tensor BatchNorm::Backward(const Tensor& grad_output) {
-  DCAM_CHECK(!cached_xhat_.empty()) << "Backward before Forward";
-  DCAM_CHECK(grad_output.shape() == cached_xhat_.shape());
+  DCAM_CHECK(!cached_input_.empty()) << "Backward before Forward";
+  DCAM_CHECK(grad_output.shape() == cached_input_.shape());
   const Dims d = SplitDims(grad_output, num_features_);
   const int64_t N = d.batch * d.spatial;
 
   Tensor grad_in(grad_output.shape());
   const float* go = grad_output.data();
-  const float* xh = cached_xhat_.data();
+  const float* in = cached_input_.data();
   float* gi = grad_in.data();
 
   for (int64_t c = 0; c < d.channels; ++c) {
+    const float m = cached_mean_[c], invstd = cached_invstd_[c];
     double dbeta = 0.0, dgamma = 0.0;
     for (int64_t b = 0; b < d.batch; ++b) {
       const float* g = go + (b * d.channels + c) * d.spatial;
-      const float* x = xh + (b * d.channels + c) * d.spatial;
+      const float* x = in + (b * d.channels + c) * d.spatial;
       for (int64_t s = 0; s < d.spatial; ++s) {
         dbeta += g[s];
-        dgamma += static_cast<double>(g[s]) * x[s];
+        dgamma += static_cast<double>(g[s]) * Normalize(x[s], m, invstd);
       }
     }
     gamma_.grad[c] += static_cast<float>(dgamma);
     beta_.grad[c] += static_cast<float>(dbeta);
 
-    const float g_scale = gamma_.value[c] * cached_invstd_[c];
+    const float g_scale = gamma_.value[c] * invstd;
     if (cached_training_) {
       // Full batch-statistics gradient.
       const float mean_dbeta = static_cast<float>(dbeta / N);
       const float mean_dgamma = static_cast<float>(dgamma / N);
       for (int64_t b = 0; b < d.batch; ++b) {
         const float* g = go + (b * d.channels + c) * d.spatial;
-        const float* x = xh + (b * d.channels + c) * d.spatial;
+        const float* x = in + (b * d.channels + c) * d.spatial;
         float* q = gi + (b * d.channels + c) * d.spatial;
         for (int64_t s = 0; s < d.spatial; ++s) {
-          q[s] = g_scale * (g[s] - mean_dbeta - x[s] * mean_dgamma);
+          q[s] = g_scale * (g[s] - mean_dbeta -
+                            Normalize(x[s], m, invstd) * mean_dgamma);
         }
       }
     } else {

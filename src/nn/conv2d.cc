@@ -2,6 +2,7 @@
 
 #include "tensor/gemm.h"
 #include "tensor/gemm_bf16.h"
+#include "util/arena.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -36,87 +37,96 @@ Tensor Conv2d::Forward(const Tensor& input, bool training) {
   DCAM_CHECK_GT(Hout, 0);
   DCAM_CHECK_GT(Wout, 0);
   cached_input_ = input;
+  const bool bf16 =
+      !training && gemm::CurrentGemmPrecision() == gemm::Precision::kBf16;
+  cached_bf16_ = bf16;
+  // Only a training forward keeps its columns for Backward; any other
+  // forward drops them before allocating its output.
+  if (!training) col_ = Tensor();
 
   const int64_t Cin = in_channels_, Cout = out_channels_;
   const int64_t KH = kernel_h_, KW = kernel_w_, PH = pad_h_, PW = pad_w_;
   const int64_t CKK = Cin * KH * KW;
   const int64_t HW = Hout * Wout;
+  Tensor out({B, Cout, Hout, Wout});
+  const float* in = input.data();
+  const float* w = weight_.value.data();
+  const float* bias = bias_.value.data();
+  float* o = out.data();
+  // Initializes instance b's output to the bias and returns the GEMM beta
+  // that accumulates onto it.
+  auto init_bias = [&](int64_t b) {
+    if (!use_bias_) return 0.0f;
+    for (int64_t co = 0; co < Cout; ++co) {
+      float* oplane = o + (b * Cout + co) * HW;
+      for (int64_t i = 0; i < HW; ++i) oplane[i] = bias[co];
+    }
+    return 1.0f;
+  };
 
-  if (!training && gemm::CurrentGemmPrecision() == gemm::Precision::kBf16) {
+  // An eval forward lowers into the calling thread's arena, rewound when
+  // this forward returns.
+  Arena& arena = ThisThreadArena();
+  ArenaScope scope(&arena);
+  if (bf16) {
     // Inference-only bf16 path: the lowered input is written and re-read as
     // 16-bit columns (half the im2col traffic), and the widening GEMM rounds
-    // the weights at pack time. Gradients never see this path — and the
-    // float32 scratch is invalidated so a Backward after a bf16 forward
-    // aborts on its shape check instead of consuming stale columns.
-    col_ = Tensor();
-    col16_.resize(static_cast<size_t>(B * CKK * HW));
-    Tensor out({B, Cout, Hout, Wout});
-    const float* in = input.data();
-    uint16_t* col16 = col16_.data();
+    // the weights at pack time. Gradients never see this path: Backward
+    // after it aborts.
+    uint16_t* col16 = static_cast<uint16_t*>(arena.Allocate(
+        static_cast<size_t>(B * CKK * HW) * sizeof(uint16_t)));
     ParallelFor(0, B, [&](int64_t b) {
       gemm::Im2Col2dBf16(in + b * Cin * H * W, Cin, H, W, KH, KW, PH, PW,
                          col16 + b * CKK * HW);
     });
-    const float* w = weight_.value.data();
-    const float* bias = bias_.value.data();
-    float* o = out.data();
     for (int64_t b = 0; b < B; ++b) {
-      float* ob = o + b * Cout * HW;
-      float beta = 0.0f;
-      if (use_bias_) {
-        for (int64_t co = 0; co < Cout; ++co) {
-          float* oplane = ob + co * HW;
-          for (int64_t i = 0; i < HW; ++i) oplane[i] = bias[co];
-        }
-        beta = 1.0f;
-      }
+      const float beta = init_bias(b);
       gemm::SgemmBf16PackedB(Cout, HW, CKK, 1.0f, w, CKK,
-                             col16 + b * CKK * HW, HW, beta, ob, HW);
+                             col16 + b * CKK * HW, HW, beta, o + b * Cout * HW,
+                             HW);
     }
     return out;
   }
 
-  EnsureTensorShape(&col_, {B, CKK, HW});
-  Tensor out({B, Cout, Hout, Wout});
-  const float* in = input.data();
-  float* col = col_.data();
-  ParallelFor(0, B, [&](int64_t b) {
-    gemm::Im2Col2d(in + b * Cin * H * W, Cin, H, W, KH, KW, PH, PW,
-                   col + b * CKK * HW);
-  });
+  float* col;
+  if (training) {
+    EnsureTensorShape(&col_, {B, CKK, HW});
+    col = col_.data();
+  } else {
+    col = arena.AllocateFloats(static_cast<size_t>(B * CKK * HW));
+  }
+  Lower(input, col);
 
   // Per instance: out_b (Cout, HW) = W (Cout, Cin*KH*KW) * col_b (CKK, HW),
   // accumulating onto the bias-initialized output. The GEMM threads
   // internally, so the batch loop stays serial.
-  const float* w = weight_.value.data();
-  const float* bias = bias_.value.data();
-  float* o = out.data();
   for (int64_t b = 0; b < B; ++b) {
-    float* ob = o + b * Cout * HW;
-    float beta = 0.0f;
-    if (use_bias_) {
-      for (int64_t co = 0; co < Cout; ++co) {
-        float* oplane = ob + co * HW;
-        for (int64_t i = 0; i < HW; ++i) oplane[i] = bias[co];
-      }
-      beta = 1.0f;
-    }
-    gemm::SgemmNN(Cout, HW, CKK, 1.0f, w, col + b * CKK * HW, beta, ob);
+    const float beta = init_bias(b);
+    gemm::SgemmNN(Cout, HW, CKK, 1.0f, w, col + b * CKK * HW, beta,
+                  o + b * Cout * HW);
   }
   return out;
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {
   DCAM_CHECK(!cached_input_.empty()) << "Backward before Forward";
+  DCAM_CHECK(!cached_bf16_) << "Backward after a bf16 Forward";
   const Tensor& input = cached_input_;
   const int64_t B = input.dim(0), H = input.dim(2), W = input.dim(3);
-  const int64_t Hout = grad_output.dim(2), Wout = grad_output.dim(3);
-  DCAM_CHECK_EQ(grad_output.dim(0), B);
-  DCAM_CHECK_EQ(grad_output.dim(1), out_channels_);
   const int64_t Cin = in_channels_, Cout = out_channels_;
   const int64_t KH = kernel_h_, KW = kernel_w_, PH = pad_h_, PW = pad_w_;
+  const int64_t Hout = H + 2 * PH - KH + 1, Wout = W + 2 * PW - KW + 1;
+  DCAM_CHECK(grad_output.shape() == Shape({B, Cout, Hout, Wout}))
+      << "Backward gradient " << ShapeToString(grad_output.shape())
+      << " does not match the Forward output";
   const int64_t CKK = Cin * KH * KW;
   const int64_t HW = Hout * Wout;
+  if (col_.empty()) {
+    // The last forward kept no columns: lower its input now, the same
+    // columns a training forward keeps.
+    col_ = Tensor({B, CKK, HW});
+    Lower(input, col_.data());
+  }
   DCAM_CHECK(col_.shape() == Shape({B, CKK, HW}))
       << "Backward im2col scratch does not match Forward";
   const float* w = weight_.value.data();
@@ -169,8 +179,9 @@ Tensor Conv2d::ForwardNaive(const Tensor& input) {
   DCAM_CHECK_GT(Hout, 0);
   DCAM_CHECK_GT(Wout, 0);
   cached_input_ = input;
-  // Invalidate the im2col scratch so a (mismatched) GEMM Backward after a
-  // naive forward fails its shape check instead of reusing stale columns.
+  cached_bf16_ = false;
+  // The direct loops lower nothing: drop the columns of an earlier forward,
+  // so a GEMM Backward lowers this input instead of reading stale columns.
   col_ = Tensor();
 
   Tensor out({B, out_channels_, Hout, Wout});
@@ -283,6 +294,19 @@ Tensor Conv2d::BackwardNaive(const Tensor& grad_output) {
     if (use_bias_) gb[co] += static_cast<float>(bias_acc);
   });
   return grad_in;
+}
+
+void Conv2d::Lower(const Tensor& input, float* col) const {
+  const int64_t B = input.dim(0), H = input.dim(2), W = input.dim(3);
+  const int64_t CKK = static_cast<int64_t>(in_channels_) * kernel_h_ *
+                      kernel_w_;
+  const int64_t HW = (H + 2 * pad_h_ - kernel_h_ + 1) *
+                     (W + 2 * pad_w_ - kernel_w_ + 1);
+  const float* in = input.data();
+  ParallelFor(0, B, [&](int64_t b) {
+    gemm::Im2Col2d(in + b * in_channels_ * H * W, in_channels_, H, W,
+                   kernel_h_, kernel_w_, pad_h_, pad_w_, col + b * CKK * HW);
+  });
 }
 
 std::vector<Parameter*> Conv2d::Params() {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -16,6 +18,7 @@
 #include "nn/dense.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
+#include "tensor/gemm.h"
 #include "tests/gradcheck.h"
 #include "util/rng.h"
 
@@ -60,6 +63,15 @@ TEST_P(Conv2dGradTest, MatchesFiniteDifferences) {
   CheckLayerGradients(&conv, {c.batch, c.cin, c.height, c.width}, true);
 }
 
+// An eval forward keeps no im2col columns, so this Backward lowers the
+// cached input itself.
+TEST_P(Conv2dGradTest, MatchesFiniteDifferencesAfterEvalForward) {
+  const Conv2dCase c = GetParam();
+  Rng rng(200 + c.kw);
+  Conv2d conv(c.cin, c.cout, c.kh, c.kw, c.ph, c.pw, &rng);
+  CheckLayerGradients(&conv, {c.batch, c.cin, c.height, c.width}, false);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, Conv2dGradTest,
     ::testing::Values(
@@ -69,6 +81,64 @@ INSTANTIATE_TEST_SUITE_P(
         Conv2dCase{2, 3, 3, 3, 1, 1, 1, 4, 4},   // square kernel
         Conv2dCase{2, 2, 4, 1, 0, 0, 1, 4, 5},   // valid merge kernel (D, 1)
         Conv2dCase{1, 1, 1, 1, 0, 0, 2, 3, 3}));  // 1x1 bottleneck
+
+struct ConvGradients {
+  Tensor input, weight, bias;
+};
+
+void ExpectSameBits(const Tensor& want, const Tensor& got, const char* what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                           static_cast<size_t>(want.size()) * sizeof(float)))
+      << what << " gradient bits differ";
+}
+
+// Which forward ran last must not move a gradient bit: the GEMM Backward
+// reads the columns a training forward kept, or lowers the same columns from
+// the cached input itself. Each forward follows a training forward on
+// another input, so stale columns would show.
+TEST(Conv2dBackwardTest, GradientsDoNotDependOnTheForwardMode) {
+  Rng rng(210);
+  Conv2d conv(3, 4, 1, 5, 0, 2, &rng);
+  Tensor x({2, 3, 4, 9}), other({2, 3, 4, 9}), grad_out({2, 4, 4, 9});
+  x.FillNormal(&rng, 0.0f, 1.0f);
+  other.FillNormal(&rng, 0.0f, 1.0f);
+  grad_out.FillNormal(&rng, 0.0f, 1.0f);
+
+  auto backward_after = [&](const std::function<void()>& forward) {
+    conv.Forward(other, /*training=*/true);
+    forward();
+    for (Parameter* p : conv.Params()) p->ZeroGrad();
+    ConvGradients g;
+    g.input = conv.Backward(grad_out);
+    g.weight = conv.weight().grad.Clone();
+    g.bias = conv.bias().grad.Clone();
+    return g;
+  };
+  const ConvGradients train =
+      backward_after([&] { conv.Forward(x, /*training=*/true); });
+  const ConvGradients eval =
+      backward_after([&] { conv.Forward(x, /*training=*/false); });
+  const ConvGradients naive = backward_after([&] { conv.ForwardNaive(x); });
+  for (const ConvGradients* g : {&eval, &naive}) {
+    ExpectSameBits(train.input, g->input, "input");
+    ExpectSameBits(train.weight, g->weight, "weight");
+    ExpectSameBits(train.bias, g->bias, "bias");
+  }
+}
+
+TEST(Conv2dBackwardTest, BackwardAfterBf16ForwardAborts) {
+  Rng rng(211);
+  Conv2d conv(2, 3, 1, 3, 0, 1, &rng);
+  Tensor x({1, 2, 2, 8});
+  x.FillNormal(&rng, 0.0f, 1.0f);
+  Tensor out;
+  {
+    gemm::ScopedGemmPrecision bf16(gemm::Precision::kBf16);
+    out = conv.Forward(x, /*training=*/false);
+  }
+  EXPECT_DEATH(conv.Backward(out), "DCAM_CHECK failed");
+}
 
 TEST(DenseGradTest, MatchesFiniteDifferences) {
   Rng rng(300);
