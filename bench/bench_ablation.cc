@@ -1,5 +1,5 @@
-// Ablation of dCAM's design choices (DESIGN.md §4; not a paper artifact, but
-// the paper's Section 4.4.3 argues for each ingredient):
+// Ablation of dCAM's design choices (README, "Deviations from the paper"; not
+// a paper artifact, but the paper's Section 4.4.3 argues for each ingredient):
 //
 //   A. Extraction rule — Definition 3 (var * mu) against variance-only,
 //      mean-over-positions, MAD * mu, mu-only, and k = 1 (no permutations).

@@ -3,8 +3,8 @@
 // average rank rows.
 //
 // Substitution: the archive is regenerated synthetically with matched
-// metadata (see data/uea_like.h and DESIGN.md §3); one training run per cell
-// instead of the paper's average of ten.
+// metadata (see data/uea_like.h and README, "Deviations from the paper"); one
+// training run per cell instead of the paper's average of ten.
 
 #include <algorithm>
 #include <cstdio>

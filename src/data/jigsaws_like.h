@@ -1,9 +1,9 @@
 // Synthetic stand-in for the JIGSAWS robot-assisted-surgery kinematics
 // dataset (Gao et al. 2014) used in the paper's Section 5.8 use case.
 //
-// Substitution (documented in DESIGN.md): the real recordings are not
-// available offline, so we generate 76-dimensional kinematic-like series with
-// the same sensor grouping — four manipulator groups (left/right PSM,
+// Substitution (README, "Deviations from the paper"): the real recordings are
+// not available offline, so we generate 76-dimensional kinematic-like series
+// with the same sensor grouping — four manipulator groups (left/right PSM,
 // left/right MTM) of 19 sensors each (3 Cartesian positions, 9 rotation
 // matrix entries, 6 linear/angular velocities, 1 gripper angle) — segmented
 // into the 11 surgical gestures G1..G11. Novice instances carry tremor and

@@ -1,10 +1,10 @@
 // Parametric generators standing in for the UCR seed datasets the paper
 // injects patterns from (StarLightCurves, ShapesAll, Fish — Section 5.1.1).
 //
-// Substitution (documented in DESIGN.md): the archive data is not available
-// offline, so each seed is a two-class family of univariate waveforms whose
-// classes are locally distinguishable — the only property the Type 1 / Type 2
-// builders rely on:
+// Substitution (README, "Deviations from the paper"): the archive data is not
+// available offline, so each seed is a two-class family of univariate
+// waveforms whose classes are locally distinguishable — the only property the
+// Type 1 / Type 2 builders rely on:
 //   * StarLight-like — smooth periodic light curves; class 0 is a soft
 //     sinusoidal variable, class 1 adds a sharp eclipse-style dip.
 //   * Shapes-like — piecewise outline profiles; class 0 is a plateau/square

@@ -69,8 +69,8 @@ ClassProfile MakeProfile(int dims, Rng* rng) {
 }  // namespace
 
 const std::vector<UeaLikeSpec>& UeaLikeRegistry() {
-  // Metadata from Table 2 of the paper; lengths above 160 are capped (noted
-  // in DESIGN.md) so the full 12-model sweep trains on CPU.
+  // Metadata from Table 2 of the paper; lengths above 160 are capped (README,
+  // "Deviations from the paper") so the full 12-model sweep trains on CPU.
   static const std::vector<UeaLikeSpec>* registry =
       new std::vector<UeaLikeSpec>({
           {"RacketSports", 4, 6, 30, 24},

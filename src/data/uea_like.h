@@ -1,9 +1,9 @@
 // Synthetic stand-ins for the UCR/UEA multivariate archive (Table 2).
 //
-// Substitution (documented in DESIGN.md): the archive is not available
-// offline, so each named dataset is regenerated with matching metadata
-// (|C| classes, D dimensions, length — long archives are capped so CPU
-// training stays tractable) and a class structure that exercises the same
+// Substitution (README, "Deviations from the paper"): the archive is not
+// available offline, so each named dataset is regenerated with matching
+// metadata (|C| classes, D dimensions, length — long archives are capped so
+// CPU training stays tractable) and a class structure that exercises the same
 // axes the archive stresses: per-dimension spectral signatures, localized
 // class-specific transients, and cross-dimension synchronized events that
 // require comparing dimensions (the regime where the paper's d-architectures
@@ -30,7 +30,7 @@ struct UeaLikeSpec {
 };
 
 /// The datasets regenerated for the Table 2 experiment (a metadata-matched
-/// subset of the paper's 23; see DESIGN.md §3).
+/// subset of the paper's 23; see README, "Deviations from the paper").
 const std::vector<UeaLikeSpec>& UeaLikeRegistry();
 
 /// Looks up a registry entry by name; aborts if absent.

@@ -3,9 +3,10 @@
 // blocks (Conv + BatchNorm + ReLU) with (64, 128, 256, 256, 256) filters and
 // kernel length 3, followed by Global Average Pooling and a dense classifier.
 //
-// Deviation noted in DESIGN.md: convolutions use symmetric "same" padding
-// ((k-1)/2) instead of the paper's padding of 2 so that activation maps stay
-// aligned index-for-index with the input series, which is what Dr-acc needs.
+// Deviation (README, "Deviations from the paper"): convolutions use symmetric
+// "same" padding ((k-1)/2) instead of the paper's padding of 2 so that
+// activation maps stay aligned index-for-index with the input series, which is
+// what Dr-acc needs.
 
 #ifndef DCAM_MODELS_CNN_H_
 #define DCAM_MODELS_CNN_H_

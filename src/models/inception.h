@@ -6,7 +6,7 @@
 // head, so CAM applies.
 //
 // Kernel lengths (paper: 10/20/40) are odd here (9/19/39) for symmetric
-// "same" padding; noted in DESIGN.md.
+// "same" padding; see README, "Deviations from the paper".
 
 #ifndef DCAM_MODELS_INCEPTION_H_
 #define DCAM_MODELS_INCEPTION_H_

@@ -1,10 +1,10 @@
 // The ResNet architecture family: ResNet, cResNet, dResNet (Wang et al. 2017
 // topology, per Section 5.2): three residual blocks of three conv layers each
 // — 64, 64, 128 filters — with per-layer kernels (8, 5, 3) in the paper;
-// we use the odd kernels (7, 5, 3) so "same" padding stays symmetric (noted
-// in DESIGN.md). Each block ends with a residual addition (1x1-conv + BN
-// shortcut when the channel count changes) followed by ReLU; the network ends
-// with GAP + dense, so CAM applies.
+// we use the odd kernels (7, 5, 3) so "same" padding stays symmetric. Each
+// block ends with a residual addition (1x1-conv + BN shortcut when the channel
+// count changes) followed by ReLU; the network ends with GAP + dense, so CAM
+// applies. Both deviations are listed in README, "Deviations from the paper".
 
 #ifndef DCAM_MODELS_RESNET_H_
 #define DCAM_MODELS_RESNET_H_
