@@ -54,33 +54,30 @@ struct Conv2dCase {
   int64_t batch, height, width;
 };
 
-class Conv2dGradTest : public ::testing::TestWithParam<Conv2dCase> {};
+// The second parameter is the forward mode. An eval forward keeps no im2col
+// columns, so its Backward lowers the cached input itself.
+class Conv2dGradTest
+    : public ::testing::TestWithParam<std::tuple<Conv2dCase, bool>> {};
 
 TEST_P(Conv2dGradTest, MatchesFiniteDifferences) {
-  const Conv2dCase c = GetParam();
+  const Conv2dCase c = std::get<0>(GetParam());
   Rng rng(200 + c.kw);
   Conv2d conv(c.cin, c.cout, c.kh, c.kw, c.ph, c.pw, &rng);
-  CheckLayerGradients(&conv, {c.batch, c.cin, c.height, c.width}, true);
-}
-
-// An eval forward keeps no im2col columns, so this Backward lowers the
-// cached input itself.
-TEST_P(Conv2dGradTest, MatchesFiniteDifferencesAfterEvalForward) {
-  const Conv2dCase c = GetParam();
-  Rng rng(200 + c.kw);
-  Conv2d conv(c.cin, c.cout, c.kh, c.kw, c.ph, c.pw, &rng);
-  CheckLayerGradients(&conv, {c.batch, c.cin, c.height, c.width}, false);
+  CheckLayerGradients(&conv, {c.batch, c.cin, c.height, c.width},
+                      std::get<1>(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, Conv2dGradTest,
-    ::testing::Values(
-        Conv2dCase{1, 2, 1, 3, 0, 1, 1, 4, 8},   // the (1, l) dCNN kernel
-        Conv2dCase{3, 2, 1, 3, 0, 1, 2, 3, 6},   // multi-channel cube input
-        Conv2dCase{2, 2, 3, 1, 1, 0, 1, 5, 4},   // the (l, 1) MTEX kernel
-        Conv2dCase{2, 3, 3, 3, 1, 1, 1, 4, 4},   // square kernel
-        Conv2dCase{2, 2, 4, 1, 0, 0, 1, 4, 5},   // valid merge kernel (D, 1)
-        Conv2dCase{1, 1, 1, 1, 0, 0, 2, 3, 3}));  // 1x1 bottleneck
+    ::testing::Combine(
+        ::testing::Values(
+            Conv2dCase{1, 2, 1, 3, 0, 1, 1, 4, 8},   // the (1, l) dCNN kernel
+            Conv2dCase{3, 2, 1, 3, 0, 1, 2, 3, 6},   // multi-channel cube
+            Conv2dCase{2, 2, 3, 1, 1, 0, 1, 5, 4},   // the (l, 1) MTEX kernel
+            Conv2dCase{2, 3, 3, 3, 1, 1, 1, 4, 4},   // square kernel
+            Conv2dCase{2, 2, 4, 1, 0, 0, 1, 4, 5},   // valid merge (D, 1)
+            Conv2dCase{1, 1, 1, 1, 0, 0, 2, 3, 3}),  // 1x1 bottleneck
+        ::testing::Bool()));
 
 struct ConvGradients {
   Tensor input, weight, bias;
