@@ -15,10 +15,17 @@
 // Lifetime discipline: Allocate() returns memory valid until the enclosing
 // ArenaScope rewinds (or Reset is called). Nothing is destructed — the arena
 // hands out raw trivially-destructible storage only.
+//
+// Retention: an arena returns no storage to the system allocator while its
+// thread lives. When a rewind empties an arena that grew past one block, the
+// blocks are merged into one block of its high-water mark (the most it ever
+// held at once), so between scopes a thread keeps one block of at most
+// max(min_block_bytes, 2 x high-water mark).
 
 #ifndef DCAM_UTIL_ARENA_H_
 #define DCAM_UTIL_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -93,12 +100,23 @@ class Arena {
 
   /// Releases every allocation made after `m` (storage is retained for
   /// reuse). Marks must be rewound strictly LIFO — ArenaScope enforces it.
+  /// A rewind that empties an arena spread over several blocks merges them
+  /// into one block of the high-water size, so the arena keeps what its
+  /// largest scope held, not a power-of-two block per growth step, and the
+  /// next pass fits one contiguous span.
   void RewindTo(const Mark& m) {
+    // Live bytes only fall here, so their peak is always seen just before
+    // a rewind.
+    high_water_ = std::max(high_water_, ContiguousBytes());
     for (size_t i = m.block + 1; i < blocks_.size() && i <= active_; ++i) {
       blocks_[i].used = 0;
     }
     active_ = m.block;
     if (active_ < blocks_.size()) blocks_[active_].used = m.used;
+    if (m.block == 0 && m.used == 0 && blocks_.size() > 1) {
+      blocks_.clear();
+      blocks_.push_back(NewBlock(std::max(min_block_, high_water_)));
+    }
   }
 
   /// Drops every allocation. When the arena had fragmented across several
@@ -141,6 +159,19 @@ class Arena {
     size_t used = 0;
   };
 
+  // Bytes the live allocations would take in one block: every block starts
+  // kDefaultAlign-aligned, so laying the blocks' used spans end to end, each
+  // rounded up to that alignment, keeps every allocation's alignment.
+  size_t ContiguousBytes() const {
+    size_t total = 0;
+    for (size_t i = 0; i < blocks_.size() && i <= active_; ++i) {
+      total += i < active_
+                   ? (blocks_[i].used + kDefaultAlign - 1) & ~(kDefaultAlign - 1)
+                   : blocks_[i].used;
+    }
+    return total;
+  }
+
   // new[] guarantees only max_align_t alignment; over-allocate by one
   // alignment quantum and round the base up by hand.
   static Block NewBlock(size_t size) {
@@ -157,6 +188,7 @@ class Arena {
   std::vector<Block> blocks_;
   size_t active_ = 0;
   size_t min_block_;
+  size_t high_water_ = 0;  // most ContiguousBytes() seen at a rewind
 };
 
 /// LIFO rewind guard: every allocation made while the scope is live is

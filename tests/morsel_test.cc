@@ -378,6 +378,27 @@ TEST(ArenaTest, GrowsAcrossBlocksAndResetConsolidates) {
   EXPECT_EQ(arena.bytes_reserved(), reserved);
 }
 
+TEST(ArenaTest, EmptyingRewindMergesBlocksToTheHighWaterMark) {
+  Arena arena(/*min_block_bytes=*/256);
+  auto pass = [&] {
+    ArenaScope scope(&arena);
+    arena.Allocate(200);
+    {
+      ArenaScope inner(&arena);
+      arena.Allocate(5000);  // does not fit block 0: an 8 KiB second block
+    }
+    // A rewind that leaves live data merges nothing.
+    EXPECT_EQ(arena.bytes_allocated(), 200u);
+  };
+  pass();
+  // Emptied: one block of what the pass held at once, 200 bytes rounded up
+  // to the alignment plus 5000, instead of 256 + 8192 bytes.
+  EXPECT_EQ(arena.bytes_reserved(), 256u + 5000u);
+  // The same pass fits that block without growing.
+  pass();
+  EXPECT_EQ(arena.bytes_reserved(), 256u + 5000u);
+}
+
 TEST(ArenaTest, ZeroByteAllocationsAreDistinct) {
   Arena arena;
   void* a = arena.Allocate(0);
