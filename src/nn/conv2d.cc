@@ -121,26 +121,33 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
       << " does not match the Forward output";
   const int64_t CKK = Cin * KH * KW;
   const int64_t HW = Hout * Wout;
+  const size_t col_floats = static_cast<size_t>(B * CKK * HW);
+  // Column scratch lives in the calling thread's arena, rewound when this
+  // Backward returns.
+  Arena& arena = ThisThreadArena();
+  ArenaScope scope(&arena);
+  const float* col;
   if (col_.empty()) {
     // The last forward kept no columns: lower its input now, the same
     // columns a training forward keeps.
-    col_ = Tensor({B, CKK, HW});
-    Lower(input, col_.data());
+    float* lowered = arena.AllocateFloats(col_floats);
+    Lower(input, lowered);
+    col = lowered;
+  } else {
+    DCAM_CHECK(col_.shape() == Shape({B, CKK, HW}))
+        << "Backward im2col scratch does not match Forward";
+    col = col_.data();
   }
-  DCAM_CHECK(col_.shape() == Shape({B, CKK, HW}))
-      << "Backward im2col scratch does not match Forward";
   const float* w = weight_.value.data();
   const float* go = grad_output.data();
-  const float* col = col_.data();
 
   // Input gradient: dcol_b = W^T (CKK, Cout) * go_b (Cout, HW), then col2im
   // scatters the columns back into the (zero-initialized) grad_in.
-  // Parallel over the batch (disjoint dcol_/grad_in slices per instance);
+  // Parallel over the batch (disjoint dcol/grad_in slices per instance);
   // the per-instance GEMMs degrade to serial inside the parallel region.
   Tensor grad_in(input.shape());
-  EnsureTensorShape(&dcol_, {B, CKK, HW});
   float* gi = grad_in.data();
-  float* dcol = dcol_.data();
+  float* dcol = arena.AllocateFloats(col_floats);
   ParallelFor(0, B, [&](int64_t b) {
     float* dcol_b = dcol + b * CKK * HW;
     gemm::SgemmTN(CKK, HW, Cout, 1.0f, w, go + b * Cout * HW, 0.0f, dcol_b);
