@@ -47,6 +47,9 @@ TEST(EuclideanTest, Symmetric) {
 }
 
 TEST(EuclideanTest, ShapeMismatchAborts) {
+  // Earlier tests may have started the global pool: re-execute the binary
+  // instead of forking a process with live worker threads.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Tensor a({1, 4});
   Tensor b({1, 5});
   EXPECT_DEATH(SquaredEuclidean(a, b), "DCAM_CHECK failed");
@@ -167,12 +170,14 @@ TEST(KnnTest, OneNnPerfectOnTrainSet) {
 }
 
 TEST(KnnTest, PredictBeforeFitAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   KnnClassifier knn;
   Tensor x({2, 8});
   EXPECT_DEATH(knn.Predict(x), "DCAM_CHECK failed");
 }
 
 TEST(KnnTest, WrongShapeAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   data::Dataset ds = EasyDataset(4, 5, 4);
   KnnClassifier knn;
   knn.Fit(ds);

@@ -125,6 +125,9 @@ TEST(Conv2dBackwardTest, GradientsDoNotDependOnTheForwardMode) {
 }
 
 TEST(Conv2dBackwardTest, BackwardAfterBf16ForwardAborts) {
+  // The global pool is running by now: re-execute the binary for the death
+  // test instead of forking a process with live worker threads.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Rng rng(211);
   Conv2d conv(2, 3, 1, 3, 0, 1, &rng);
   Tensor x({1, 2, 2, 8});
