@@ -101,8 +101,7 @@ class Arena {
   /// Releases every allocation made after `m` (storage is retained for
   /// reuse). Marks must be rewound strictly LIFO — ArenaScope enforces it.
   /// A rewind that empties an arena spread over several blocks merges them
-  /// into one block of the high-water size, so the arena keeps what its
-  /// largest scope held, not a power-of-two block per growth step, and the
+  /// into one block of the high-water size (see Retention above), so the
   /// next pass fits one contiguous span.
   void RewindTo(const Mark& m) {
     // Live bytes only fall here, so their peak is always seen just before
@@ -121,7 +120,7 @@ class Arena {
 
   /// Drops every allocation. When the arena had fragmented across several
   /// blocks, they are consolidated: the next Allocate carves from one block
-  /// sized to the high-water mark, so steady-state reuse touches one
+  /// as large as all of them together, so steady-state reuse touches one
   /// contiguous span.
   void Reset() {
     if (blocks_.size() > 1) {
@@ -165,9 +164,9 @@ class Arena {
   size_t ContiguousBytes() const {
     size_t total = 0;
     for (size_t i = 0; i < blocks_.size() && i <= active_; ++i) {
-      total += i < active_
-                   ? (blocks_[i].used + kDefaultAlign - 1) & ~(kDefaultAlign - 1)
-                   : blocks_[i].used;
+      const size_t used = blocks_[i].used;
+      total += i < active_ ? (used + kDefaultAlign - 1) & ~(kDefaultAlign - 1)
+                           : used;
     }
     return total;
   }
