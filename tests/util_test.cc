@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/check.h"
 #include "util/clock.h"
@@ -12,6 +14,7 @@
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/xxhash.h"
 
 namespace dcam {
 namespace {
@@ -217,6 +220,61 @@ TEST(CheckTest, ComparisonMacros) {
   EXPECT_DEATH({ DCAM_CHECK_LT(3, 3); }, "DCAM_CHECK failed");
   DCAM_CHECK_EQ(1, 1);  // passes: no abort
   DCAM_CHECK_LE(3, 3);
+}
+
+// 4096 fixed bytes; the digest tests hash prefixes of them.
+std::vector<unsigned char> HashInput() {
+  std::vector<unsigned char> bytes(4096);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 131 + 17);
+  }
+  return bytes;
+}
+
+// Reference digests of the reference implementation (libxxhash 0.8.1), at
+// lengths that cross the 32-byte stripe loop and the 8-, 4- and 1-byte
+// tails.
+TEST(Xxh64Test, MatchesTheReferenceDigests) {
+  constexpr uint64_t kSeed = 0x9E3779B97F4A7C15ULL;
+  struct Case {
+    size_t len;
+    uint64_t seed0;
+    uint64_t seeded;
+  };
+  const Case cases[] = {
+      {0, 0xef46db3751d8e999ULL, 0xc4349fc93c010000ULL},
+      {1, 0xad10cd9780ac4ff7ULL, 0xeee0b6d27c96399cULL},
+      {3, 0x40626d96276e4594ULL, 0x93ba463a084767e9ULL},
+      {4, 0x882207c122c76e23ULL, 0xd0c267b9ee1e5859ULL},
+      {7, 0xcfc90033aa9dac4fULL, 0xd684eda4399035afULL},
+      {8, 0x90fda2f089fa86deULL, 0x7dec350536051091ULL},
+      {31, 0x44cc9efe5d2d0233ULL, 0x0fb3b15a174b3ff1ULL},
+      {32, 0x0e1aab1d173cf196ULL, 0x860a935aa1fdd66bULL},
+      {33, 0x5c820b4b4fe28fdcULL, 0x3b00a6ef0416e4a4ULL},
+      {64, 0xd4c20ef54cbc9f67ULL, 0xf6fb8b57d2e5f8f6ULL},
+      {100, 0x7f8375f3e09d8123ULL, 0x72a72996bc4434acULL},
+      {4096, 0xa78a1899df4ccfdcULL, 0xc5feaf4c2f2d3f1bULL},
+  };
+  const std::vector<unsigned char> input = HashInput();
+  for (const Case& c : cases) {
+    EXPECT_EQ(Xxh64(input.data(), c.len), c.seed0) << "len " << c.len;
+    EXPECT_EQ(Xxh64(input.data(), c.len, kSeed), c.seeded) << "len " << c.len;
+  }
+  EXPECT_EQ(Xxh64(nullptr, 0), 0xef46db3751d8e999ULL);
+}
+
+TEST(Xxh64Test, EverySingleBitFlipChangesTheDigest) {
+  const std::vector<unsigned char> input = HashInput();
+  for (size_t len = 1; len <= 96; ++len) {
+    std::vector<unsigned char> bytes(input.begin(), input.begin() + len);
+    const uint64_t clean = Xxh64(bytes.data(), len);
+    for (size_t bit = 0; bit < len * 8; ++bit) {
+      bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+      EXPECT_NE(Xxh64(bytes.data(), len), clean)
+          << "len " << len << ", bit " << bit;
+      bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    }
+  }
 }
 
 }  // namespace
