@@ -5,7 +5,7 @@
 
 #include "io/atomic_file.h"
 #include "util/check.h"
-#include "util/fnv.h"
+#include "util/xxhash.h"
 
 namespace dcam {
 namespace data {
@@ -25,7 +25,7 @@ size_t AlignUp(size_t n) {
   return (n + kSegmentAlign - 1) & ~(kSegmentAlign - 1);
 }
 
-// Every segment is stored as payload + uint64 FNV-1a + zero padding to the
+// Every segment is stored as payload + uint64 XXH64 + zero padding to the
 // alignment boundary.
 size_t SegmentBlock(size_t payload_bytes) {
   return AlignUp(payload_bytes + sizeof(uint64_t));
@@ -62,11 +62,11 @@ class SegmentWriter {
  public:
   explicit SegmentWriter(io::AtomicFileWriter* out) : out_(out) {}
 
-  // Writes payload + FNV-1a(payload) + padding to the alignment boundary.
+  // Writes payload + XXH64(payload) + padding to the alignment boundary.
   io::Status WriteSegment(const void* payload, size_t bytes) {
     io::Status status = out_->Write(payload, bytes);
     if (!status.ok()) return status;
-    const uint64_t hash = Fnv1a(payload, bytes);
+    const uint64_t hash = Xxh64(payload, bytes);
     status = out_->WriteScalar(hash);
     if (!status.ok()) return status;
     return Pad(SegmentBlock(bytes) - bytes - sizeof(uint64_t));
@@ -135,7 +135,7 @@ io::Status WriteSeriesStore(const Dataset& dataset, const std::string& path) {
   header.append(dataset.name);
   status = out.Write(header.data(), header.size());
   if (!status.ok()) return status;
-  status = out.WriteScalar(Fnv1a(header.data(), header.size()));
+  status = out.WriteScalar(Xxh64(header.data(), header.size()));
   if (!status.ok()) return status;
 
   const Layout layout = ComputeLayout(dataset.name.size(), instances, dims,
@@ -229,7 +229,7 @@ io::Status SeriesStore::Open(const std::string& path, const Options& options,
     return io::Status::Corruption(path + ": truncated header");
   }
   const uint64_t stored_header_hash = ReadU64(base + header_bytes);
-  if (Fnv1a(base, header_bytes) != stored_header_hash) {
+  if (Xxh64(base, header_bytes) != stored_header_hash) {
     return io::Status::Corruption(path + ": header checksum mismatch");
   }
 
@@ -339,7 +339,7 @@ io::Status SeriesStore::VerifyChecksums() const {
   const auto check = [&](size_t offset, size_t bytes,
                          const std::string& what) -> io::Status {
     const uint64_t stored = ReadU64(base() + offset + bytes);
-    if (Fnv1a(base() + offset, bytes) != stored) {
+    if (Xxh64(base() + offset, bytes) != stored) {
       return io::Status::Corruption("checksum mismatch in " + what + " of " +
                                     name_);
     }

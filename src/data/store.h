@@ -13,8 +13,9 @@
 //     N, D, n      int64    instances, dimensions, series length
 //     num_classes  int32
 //     name         name_len bytes
-//     header_hash  uint64   FNV-1a over every header byte above
-//   segments (each 64-byte aligned, each followed by its own uint64 FNV-1a):
+//     header_hash  uint64   XXH64 (util/xxhash.h, seed 0) over every header
+//                           byte above
+//   segments (each 64-byte aligned, each followed by its own uint64 XXH64):
 //     labels       int32[N]
 //     column d     float32[N * n] for d in [0, D)   — value (i, t) of
 //                  dimension d lives at column_d[i * n + t]
@@ -46,9 +47,10 @@
 namespace dcam {
 namespace data {
 
-/// Bumped on any layout change; readers refuse files written by a different
-/// version instead of guessing at offsets.
-inline constexpr uint32_t kSeriesStoreVersion = 1;
+/// Bumped on any layout or checksum change; readers refuse files written by
+/// a different version instead of guessing at offsets. Version 1 checksummed
+/// with FNV-1a; version 2 with XXH64.
+inline constexpr uint32_t kSeriesStoreVersion = 2;
 
 /// Writes `dataset` to `path` atomically (temp + fsync + rename).
 io::Status WriteSeriesStore(const Dataset& dataset, const std::string& path);
@@ -57,8 +59,9 @@ class SeriesStore {
  public:
   struct Options {
     /// Re-hash every segment at Open and refuse the file on any mismatch.
-    /// Costs one sequential pass over the file (the pass the load-MBps
-    /// bench measures); skip it only for files verified out of band.
+    /// Costs one sequential, single-threaded XXH64 pass over the file (the
+    /// pass the load-MBps bench measures); skip it only for files verified
+    /// out of band.
     bool verify_checksums = true;
     /// false forces the buffered-read fallback (see util/mmap.h).
     bool allow_mmap = true;

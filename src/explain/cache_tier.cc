@@ -8,6 +8,7 @@
 
 #include "io/atomic_file.h"
 #include "util/fnv.h"
+#include "util/xxhash.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <dirent.h>
@@ -24,16 +25,17 @@ namespace {
 //   [8]  magic "DCAMRC1\0"
 //   [4]  format version (little-endian u32)
 //   [4]  record count
-//   [8]  FNV-1a of the 16 header bytes above
+//   [8]  XXH64 of the 16 header bytes above
 //   then `count` records, each:
 //   [8]  blob length
 //   [n]  blob (serialized key + timestamps + series + result)
-//   [8]  FNV-1a of the blob
+//   [8]  XXH64 of the blob
 //
 // Integers are stored in host byte order — segments are a host-local cache,
-// not an interchange format (same stance as data/store).
+// not an interchange format (same stance as data/store). Version 1 used
+// FNV-1a checksums and FNV series hashes; its segments are rejected at open.
 constexpr char kMagic[8] = {'D', 'C', 'A', 'M', 'R', 'C', '1', '\0'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8;
 constexpr char kSegmentPrefix[] = "cache-";
 constexpr char kSegmentSuffix[] = ".dcc";
@@ -276,11 +278,11 @@ size_t PersistentCacheTier::LoadSegmentLocked(int segment_idx) {
   if (std::memcmp(data, kMagic, sizeof kMagic) != 0) return 0;
   uint32_t version = 0;
   uint32_t count = 0;
-  uint64_t header_fnv = 0;
+  uint64_t header_hash = 0;
   std::memcpy(&version, data + 8, sizeof version);
   std::memcpy(&count, data + 12, sizeof count);
-  std::memcpy(&header_fnv, data + 16, sizeof header_fnv);
-  if (version != kVersion || Fnv1a(data, 16) != header_fnv) return 0;
+  std::memcpy(&header_hash, data + 16, sizeof header_hash);
+  if (version != kVersion || Xxh64(data, 16) != header_hash) return 0;
   size_t pos = kHeaderBytes;
   size_t indexed = 0;
   for (uint32_t i = 0; i < count; ++i) {
@@ -295,9 +297,9 @@ size_t PersistentCacheTier::LoadSegmentLocked(int segment_idx) {
       break;
     }
     const unsigned char* blob = data + pos + sizeof(uint64_t);
-    uint64_t stored_fnv = 0;
-    std::memcpy(&stored_fnv, blob + blob_len, sizeof stored_fnv);
-    if (Fnv1a(blob, blob_len) != stored_fnv) break;
+    uint64_t stored_hash = 0;
+    std::memcpy(&stored_hash, blob + blob_len, sizeof stored_hash);
+    if (Xxh64(blob, blob_len) != stored_hash) break;
     ParsedRecord rec;
     if (!ParseBlob(blob, blob_len, &rec)) break;
     Loc loc;
@@ -334,9 +336,9 @@ bool PersistentCacheTier::Get(const ResultCacheKey& key, const Tensor& series,
   std::memcpy(&blob_len, record, sizeof blob_len);
   const unsigned char* blob = record + sizeof(uint64_t);
   if (options_.verify_on_read && loc.segment >= 0) {
-    uint64_t stored_fnv = 0;
-    std::memcpy(&stored_fnv, blob + blob_len, sizeof stored_fnv);
-    if (Fnv1a(blob, blob_len) != stored_fnv) {
+    uint64_t stored_hash = 0;
+    std::memcpy(&stored_hash, blob + blob_len, sizeof stored_hash);
+    if (Xxh64(blob, blob_len) != stored_hash) {
       index_.erase(it);  // bit rot since load; recompute instead
       return false;
     }
@@ -393,7 +395,7 @@ void PersistentCacheTier::Put(const ResultCacheKey& key, const Tensor& series,
     loc.created_ns = created;
     AppendScalar<uint64_t>(&buffer_, static_cast<uint64_t>(blob.size()));
     buffer_.append(blob);
-    AppendScalar<uint64_t>(&buffer_, Fnv1a(blob.data(), blob.size()));
+    AppendScalar<uint64_t>(&buffer_, Xxh64(blob.data(), blob.size()));
     buffered_.emplace_back(key, loc);
     index_[key] = loc;
     if (buffer_.size() >= options_.flush_bytes) {
@@ -428,7 +430,7 @@ io::Status PersistentCacheTier::FlushLocked() {
     AppendRaw(&header, kMagic, sizeof kMagic);
     AppendScalar<uint32_t>(&header, kVersion);
     AppendScalar<uint32_t>(&header, static_cast<uint32_t>(buffered_.size()));
-    status = writer.WriteScalar<uint64_t>(Fnv1a(header.data(), header.size()));
+    status = writer.WriteScalar<uint64_t>(Xxh64(header.data(), header.size()));
   }
   if (status.ok()) status = writer.Write(buffer_.data(), buffer_.size());
   if (status.ok()) status = writer.Commit();

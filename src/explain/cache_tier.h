@@ -20,7 +20,7 @@
 //                                read-only (util/mmap; buffered fallback
 //                                off-POSIX) and walked once: header magic /
 //                                version / count checks, then a per-entry
-//                                FNV-1a checksum over each record. A
+//                                XXH64 checksum over each record. A
 //                                corrupted or truncated segment contributes
 //                                nothing past the damage — its surviving
 //                                prefix still serves, everything else misses
@@ -93,7 +93,7 @@ class PersistentCacheTier {
     /// Wall-clock based, so it holds across restarts — the staleness bound
     /// for models retrained while no service was running.
     std::chrono::nanoseconds ttl{0};
-    /// Re-verify each record's FNV-1a checksum on every probe (guards
+    /// Re-verify each record's XXH64 checksum on every probe (guards
     /// against on-disk bit rot after load). The stored-series byte compare
     /// always runs regardless.
     bool verify_on_read = true;

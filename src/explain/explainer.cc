@@ -11,6 +11,7 @@
 #include "core/engine.h"
 #include "models/mtex.h"
 #include "tensor/gemm.h"
+#include "util/xxhash.h"
 
 namespace dcam {
 namespace explain {
@@ -673,7 +674,9 @@ uint64_t HashTensor(const Tensor& t, uint64_t h) {
     const int64_t d = t.dim(i);
     h = HashBytes(&d, sizeof d, h);
   }
-  return HashBytes(t.data(), static_cast<size_t>(t.size()) * sizeof(float), h);
+  // The payload is most of the bytes (a submitted series is kilobytes), so
+  // it is folded with XXH64, seeded with the FNV digest of rank and dims.
+  return Xxh64(t.data(), static_cast<size_t>(t.size()) * sizeof(float), h);
 }
 
 }  // namespace explain

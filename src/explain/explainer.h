@@ -188,7 +188,7 @@ ExplanationResult Explain(const std::string& method, models::Model* model,
                           const Tensor& series, int class_idx,
                           const ExplainOptions& options = {});
 
-// ---- hashing helpers (FNV-1a; used for cache keys and option digests) ------
+// ---- hashing helpers (cache keys and option digests) -----------------------
 
 inline constexpr uint64_t kFnvOffset = kFnv1aOffsetBasis;
 
@@ -196,7 +196,8 @@ inline constexpr uint64_t kFnvOffset = kFnv1aOffsetBasis;
 /// explain:: digest vocabulary).
 uint64_t HashBytes(const void* data, size_t len, uint64_t h = kFnvOffset);
 
-/// Digest of a tensor: rank, dims, and raw float contents. Empty tensors
+/// Digest of a tensor: rank and dims folded by HashBytes, then the raw float
+/// contents by util/xxhash.h's XXH64 seeded with that digest. Empty tensors
 /// hash to a fixed value distinct from any non-empty tensor.
 uint64_t HashTensor(const Tensor& t, uint64_t h = kFnvOffset);
 

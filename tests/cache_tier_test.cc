@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -389,6 +390,50 @@ TEST(ServiceWarmRestartTest, CorruptSegmentFallsBackToCompute) {
   const ExplainService::Stats stats = service.stats();
   EXPECT_EQ(stats.cache_tier2_hits, 0u);
   EXPECT_EQ(stats.coalesced_batches, 1u);
+}
+
+// Every tier-2 directory of the previous segment version takes this path
+// once: its segments are rejected at open, never served, and never removed.
+TEST(ServiceWarmRestartTest, PreviousVersionSegmentFallsBackToCompute) {
+  Rng rng(99);
+  auto model = TinyDcnn(&rng);
+  const std::string dir = FreshCacheDir("tier2_service_old_version");
+  const ExplainRequest req = DcamRequest("m", RandomSeries(&rng), 0, 5, 9900);
+  Tensor want;
+  {
+    ExplainService::Config config;
+    config.cache.persistent_dir = dir;
+    ExplainService service(config);
+    service.RegisterModel(ModelSpec("m", model.get()));
+    want = service.Explain(req).map;
+  }
+  const std::vector<std::string> segs = SegmentFiles(dir);
+  ASSERT_EQ(segs.size(), 1u);
+  {
+    std::fstream f(segs[0], std::ios::binary | std::ios::in | std::ios::out);
+    uint32_t version = 0;
+    f.seekg(8);
+    f.read(reinterpret_cast<char*>(&version), sizeof version);
+    --version;
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(&version), sizeof version);
+    ASSERT_TRUE(f.good());
+  }
+  {
+    std::unique_ptr<PersistentCacheTier> tier;
+    ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &tier).ok());
+    EXPECT_EQ(tier->segments_rejected(), 1);
+    EXPECT_EQ(tier->entries(), 0u);
+  }
+  ExplainService::Config config;
+  config.cache.persistent_dir = dir;
+  ExplainService service(config);
+  service.RegisterModel(ModelSpec("m", model.get()));
+  ExpectSameMap(service.Explain(req).map, want);  // recomputed
+  const ExplainService::Stats stats = service.stats();
+  EXPECT_EQ(stats.cache_tier2_hits, 0u);
+  EXPECT_EQ(stats.coalesced_batches, 1u);
+  EXPECT_TRUE(std::filesystem::exists(segs[0]));
 }
 
 TEST(ServiceCacheTtlTest, Tier1EntriesExpireOnTheServiceClock) {

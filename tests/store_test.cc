@@ -326,6 +326,33 @@ TEST(CorpusTest, GenerationIsIdempotentAndVerified) {
   EXPECT_TRUE(SeriesStore::Open(path, &store).ok());
 }
 
+// Every cached corpus of the previous store version takes this path once.
+TEST(CorpusTest, RebuildsAStoreOfThePreviousVersion) {
+  const std::string dir = TempPath("corpus_upgrade_dir");
+  std::filesystem::remove_all(dir);
+  CorpusSpec spec;
+  spec.kind = CorpusKind::kUeaLike;
+  spec.scale_factor = 1;
+  std::string path;
+  ASSERT_TRUE(GenerateCorpusFile(spec, dir, &path).ok());
+
+  std::vector<char> bytes = ReadAll(path);
+  const uint32_t previous = kSeriesStoreVersion - 1;
+  std::memcpy(bytes.data() + 8, &previous, sizeof previous);  // version field
+  WriteAll(path, bytes);
+  SeriesStore store;
+  const io::Status status = SeriesStore::Open(path, &store);
+  EXPECT_TRUE(status.IsInvalidArgument());
+  EXPECT_NE(status.message().find("unsupported"), std::string::npos);
+
+  bool regenerated = false;
+  ASSERT_TRUE(
+      GenerateCorpusFile(spec, dir, &path, /*force=*/false, &regenerated)
+          .ok());
+  EXPECT_TRUE(regenerated);
+  EXPECT_TRUE(SeriesStore::Open(path, &store).ok());
+}
+
 TEST(CorpusTest, DeterministicPerSpecAndScalesWithSf) {
   CorpusSpec spec;
   spec.kind = CorpusKind::kSynthetic;
