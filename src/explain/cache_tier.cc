@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "io/atomic_file.h"
+#include "util/check.h"
 #include "util/fnv.h"
 #include "util/xxhash.h"
 
@@ -143,6 +144,18 @@ bool ParseBlob(const unsigned char* blob, size_t len, ParsedRecord* out) {
          r.ReadTensorRef(&out->map_shape, &out->map_data, &out->map_bytes);
 }
 
+// (device, inode) of the file now at `path`; {0, 0} when it cannot be read.
+std::pair<uint64_t, uint64_t> FileIdentity(const std::string& path) {
+#if defined(__unix__) || defined(__APPLE__)
+  struct stat st;
+  if (::stat(path.c_str(), &st) == 0) {
+    return {static_cast<uint64_t>(st.st_dev),
+            static_cast<uint64_t>(st.st_ino)};
+  }
+#endif
+  return {0, 0};
+}
+
 int64_t WallClockNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::system_clock::now().time_since_epoch())
@@ -232,23 +245,25 @@ io::Status PersistentCacheTier::Open(
     if (end != nullptr && *end == '\0') {
       tier->next_segment_seq_ = std::max(tier->next_segment_seq_, seq + 1);
     }
-    auto mapped = std::make_unique<MappedFile>();
+    Segment segment;
+    segment.path = dir + "/" + name;
     MappedFile::Options mopts;
     mopts.advice = MappedFile::Advice::kSequential;
-    if (!MappedFile::Open(dir + "/" + name, mopts, mapped.get()).ok()) {
+    if (!MappedFile::Open(segment.path, mopts, &segment.file).ok()) {
       ++tier->segments_rejected_;
       continue;
     }
-    tier->segments_.push_back(std::move(mapped));
+    segment.identity = FileIdentity(segment.path);
+    tier->segments_.push_back(std::move(segment));
     const int idx = static_cast<int>(tier->segments_.size()) - 1;
     if (tier->LoadSegmentLocked(idx) == 0) {
       // Nothing usable: drop the mapping, keep the slot (Locs index by
       // position) pointing at an empty file so nothing dangles.
-      tier->segments_[idx]->Close();
+      tier->segments_[idx].file.Close();
       ++tier->segments_rejected_;
     } else {
       ++tier->segments_loaded_;
-      tier->segments_[idx]->Advise(MappedFile::Advice::kRandom);
+      tier->segments_[idx].file.Advise(MappedFile::Advice::kRandom);
     }
   }
   *out = std::move(tier);
@@ -271,8 +286,38 @@ bool PersistentCacheTier::ExpiredLocked(const Loc& loc, int64_t now_ns) const {
          now_ns >= loc.created_ns + options_.ttl.count();
 }
 
+void PersistentCacheTier::RepointLocked(Loc* slot, const Loc& loc) {
+  const int previous = slot->segment;
+  *slot = loc;
+  if (loc.segment >= 0) ++segments_[loc.segment].live;
+  ReleaseLocked(previous);
+}
+
+PersistentCacheTier::Index::iterator PersistentCacheTier::EraseLocked(
+    Index::iterator it) {
+  const int segment = it->second.segment;
+  it = index_.erase(it);
+  ReleaseLocked(segment);
+  return it;
+}
+
+void PersistentCacheTier::ReleaseLocked(int segment) {
+  if (segment < 0) return;
+  Segment& s = segments_[segment];
+  DCAM_CHECK_GT(s.live, 0u);
+  if (--s.live > 0) return;
+  s.file.Close();
+  // A file with records the walk could not verify may hold what this build
+  // cannot judge; only a fully read one is known to be dead. Another tier
+  // over the same directory may have renamed its own segment onto the path
+  // since; that file was never read here either.
+  if (s.complete && FileIdentity(s.path) == s.identity) {
+    std::remove(s.path.c_str());
+  }
+}
+
 size_t PersistentCacheTier::LoadSegmentLocked(int segment_idx) {
-  const MappedFile& f = *segments_[segment_idx];
+  const MappedFile& f = segments_[segment_idx].file;
   const unsigned char* data = f.data();
   if (f.size() < kHeaderBytes) return 0;
   if (std::memcmp(data, kMagic, sizeof kMagic) != 0) return 0;
@@ -307,10 +352,11 @@ size_t PersistentCacheTier::LoadSegmentLocked(int segment_idx) {
     loc.offset = pos;
     loc.length = sizeof(uint64_t) + blob_len + sizeof(uint64_t);
     loc.created_ns = rec.created_ns;
-    index_[rec.key] = loc;  // later segments overwrite earlier spills
+    RepointLocked(&index_[rec.key], loc);  // later segments supersede
     ++indexed;
     pos += loc.length;
   }
+  segments_[segment_idx].complete = indexed == count;
   return indexed;
 }
 
@@ -321,13 +367,13 @@ bool PersistentCacheTier::Get(const ResultCacheKey& key, const Tensor& series,
   if (it == index_.end()) return false;
   const Loc loc = it->second;
   if (ExpiredLocked(loc, NowNs())) {
-    index_.erase(it);
+    EraseLocked(it);
     ++expired_;
     return false;
   }
   const unsigned char* record;
   if (loc.segment >= 0) {
-    record = segments_[loc.segment]->data() + loc.offset;
+    record = segments_[loc.segment].file.data() + loc.offset;
   } else {
     record = reinterpret_cast<const unsigned char*>(buffer_.data()) +
              loc.offset;
@@ -339,13 +385,13 @@ bool PersistentCacheTier::Get(const ResultCacheKey& key, const Tensor& series,
     uint64_t stored_hash = 0;
     std::memcpy(&stored_hash, blob + blob_len, sizeof stored_hash);
     if (Xxh64(blob, blob_len) != stored_hash) {
-      index_.erase(it);  // bit rot since load; recompute instead
+      EraseLocked(it);  // bit rot since load; recompute instead
       return false;
     }
   }
   ParsedRecord rec;
   if (!ParseBlob(blob, blob_len, &rec)) {
-    index_.erase(it);
+    EraseLocked(it);
     return false;
   }
   // The content-address guard: shape + bytes of the stored series must match
@@ -411,60 +457,70 @@ io::Status PersistentCacheTier::Flush() {
 }
 
 io::Status PersistentCacheTier::FlushLocked() {
-  if (buffered_.empty()) return io::Status::Ok();
+  // Only the records the index still points at are written: one erased or
+  // expired while buffered, or replaced by a later Put of its key, never
+  // reaches disk.
+  std::vector<Index::iterator> live;
+  for (const auto& [key, loc] : buffered_) {
+    auto it = index_.find(key);
+    if (it != index_.end() && it->second.segment < 0 &&
+        it->second.offset == loc.offset) {
+      live.push_back(it);
+    }
+  }
+  if (live.empty()) {
+    buffered_.clear();
+    buffer_.clear();
+    return io::Status::Ok();
+  }
   char name[64];
   std::snprintf(name, sizeof name, "%s%06llu%s", kSegmentPrefix,
                 static_cast<unsigned long long>(next_segment_seq_),
                 kSegmentSuffix);
-  const std::string path = dir_ + "/" + name;
-  io::AtomicFileWriter writer(path);
+  Segment segment;
+  segment.path = dir_ + "/" + name;
+  segment.complete = true;
+  std::string header;
+  AppendRaw(&header, kMagic, sizeof kMagic);
+  AppendScalar<uint32_t>(&header, kVersion);
+  AppendScalar<uint32_t>(&header, static_cast<uint32_t>(live.size()));
+  AppendScalar<uint64_t>(&header, Xxh64(header.data(), header.size()));
+  io::AtomicFileWriter writer(segment.path);
   io::Status status = writer.Open();
-  if (status.ok()) status = writer.Write(kMagic, sizeof kMagic);
-  if (status.ok()) status = writer.WriteScalar<uint32_t>(kVersion);
-  if (status.ok()) {
-    status = writer.WriteScalar<uint32_t>(
-        static_cast<uint32_t>(buffered_.size()));
+  if (status.ok()) status = writer.Write(header.data(), header.size());
+  for (const Index::iterator& it : live) {
+    if (!status.ok()) break;
+    status = writer.Write(buffer_.data() + it->second.offset,
+                          it->second.length);
   }
-  if (status.ok()) {
-    std::string header;
-    AppendRaw(&header, kMagic, sizeof kMagic);
-    AppendScalar<uint32_t>(&header, kVersion);
-    AppendScalar<uint32_t>(&header, static_cast<uint32_t>(buffered_.size()));
-    status = writer.WriteScalar<uint64_t>(Xxh64(header.data(), header.size()));
-  }
-  if (status.ok()) status = writer.Write(buffer_.data(), buffer_.size());
   if (status.ok()) status = writer.Commit();
   if (!status.ok()) return status;
   ++next_segment_seq_;
 
-  auto mapped = std::make_unique<MappedFile>();
   MappedFile::Options mopts;
   mopts.advice = MappedFile::Advice::kRandom;
-  status = MappedFile::Open(path, mopts, mapped.get());
+  status = MappedFile::Open(segment.path, mopts, &segment.file);
   if (!status.ok()) {
     // The segment is durable but unreadable right now; drop the buffered
     // index entries (they point at a buffer we are about to clear) and let a
     // restart pick the segment up.
-    for (auto& [key, loc] : buffered_) {
-      auto it = index_.find(key);
-      if (it != index_.end() && it->second.segment < 0) index_.erase(it);
-    }
-    buffered_.clear();
-    buffer_.clear();
-    return status;
-  }
-  segments_.push_back(std::move(mapped));
-  const int idx = static_cast<int>(segments_.size()) - 1;
-  for (auto& [key, loc] : buffered_) {
-    auto it = index_.find(key);
-    if (it != index_.end() && it->second.segment < 0) {
-      it->second.segment = idx;
-      it->second.offset = kHeaderBytes + loc.offset;
+    for (const Index::iterator& it : live) index_.erase(it);
+  } else {
+    segment.identity = FileIdentity(segment.path);
+    segments_.push_back(std::move(segment));
+    const int idx = static_cast<int>(segments_.size()) - 1;
+    size_t offset = kHeaderBytes;
+    for (const Index::iterator& it : live) {
+      Loc loc = it->second;
+      loc.segment = idx;
+      loc.offset = offset;
+      offset += loc.length;
+      RepointLocked(&it->second, loc);
     }
   }
   buffered_.clear();
   buffer_.clear();
-  return io::Status::Ok();
+  return status;
 }
 
 size_t PersistentCacheTier::EraseModel(const std::string& model_id) {
@@ -472,7 +528,7 @@ size_t PersistentCacheTier::EraseModel(const std::string& model_id) {
   size_t erased = 0;
   for (auto it = index_.begin(); it != index_.end();) {
     if (it->first.model_id == model_id) {
-      it = index_.erase(it);
+      it = EraseLocked(it);
       ++erased;
     } else {
       ++it;

@@ -33,9 +33,14 @@
 //
 // Freshness: expiry is lazy on probe, against a wall clock (monotonic time
 // is meaningless across restarts; tests inject Options::now_unix_ns).
-// In-process InvalidateModel drops a model's index entries immediately;
-// across a restart the segments are reloaded as-is, so Options::ttl is the
-// staleness bound for models retrained outside a service's lifetime.
+// In-process InvalidateModel drops a model's index entries immediately, and
+// its buffered records never reach disk. A segment that no index entry
+// points into any more (its entries erased, expired, failed re-verification
+// or superseded by a later segment at open) is unmapped and, if the tier
+// read all of it, its file removed. An erased record in a segment that still
+// holds live ones stays on disk and is reloaded after a restart, so
+// Options::ttl is the staleness bound for models retrained outside a
+// service's lifetime.
 //
 // Thread-safe: one internal mutex serializes Get/Put/Flush/EraseModel (the
 // service calls them from every scheduler shard).
@@ -134,9 +139,11 @@ class PersistentCacheTier {
   io::Status Flush();
 
   /// Drops every index entry (buffered or on disk) for `model_id`; returns
-  /// how many were dropped. The segment bytes are not rewritten — reclaiming
-  /// them is a future compaction concern — so the drop holds for this
-  /// process lifetime and the TTL bounds staleness after a restart.
+  /// how many were dropped. Buffered records are then never written, and a
+  /// segment left with no live entry is unmapped and its file removed. A
+  /// segment that also holds another model's live records is not
+  /// rewritten, so its erased records come back after a restart, where the
+  /// TTL bounds their staleness.
   size_t EraseModel(const std::string& model_id);
 
   /// Entries currently servable (index + spill buffer).
@@ -163,8 +170,26 @@ class PersistentCacheTier {
     int64_t created_ns = 0;
   };
 
+  struct Segment {
+    std::string path;
+    MappedFile file;
+    std::pair<uint64_t, uint64_t> identity;  // (device, inode) when mapped
+    size_t live = 0;        // index entries that point into the segment
+    bool complete = false;  // every record its header announces verified
+  };
+
+  using Index = std::unordered_map<ResultCacheKey, Loc, ResultCacheKeyHash>;
+
   int64_t NowNs() const;
   bool ExpiredLocked(const Loc& loc, int64_t now_ns) const;
+  /// Sets `*slot` (an index entry) to `loc`, moving its reference from the
+  /// segment it pointed into, if any, to loc's.
+  void RepointLocked(Loc* slot, const Loc& loc);
+  /// Erases one index entry and releases its segment; returns the next.
+  Index::iterator EraseLocked(Index::iterator it);
+  /// Drops one reference to `segment` (no-op for the spill buffer, -1). The
+  /// last one unmaps it and, when `complete`, removes its file.
+  void ReleaseLocked(int segment);
   io::Status FlushLocked();
   /// Walks one mapped segment, adding every verifiable record to the index.
   /// Returns the number of records indexed.
@@ -174,8 +199,8 @@ class PersistentCacheTier {
   const Options options_;
 
   mutable std::mutex mu_;
-  std::unordered_map<ResultCacheKey, Loc, ResultCacheKeyHash> index_;
-  std::vector<std::unique_ptr<MappedFile>> segments_;
+  Index index_;
+  std::vector<Segment> segments_;  // a dead segment keeps its slot, unmapped
   std::string buffer_;  // serialized records awaiting flush
   std::vector<std::pair<ResultCacheKey, Loc>> buffered_;  // Locs into buffer_
   uint64_t next_segment_seq_ = 0;

@@ -89,9 +89,10 @@ std::vector<std::string> SegmentFiles(const std::string& dir) {
   return out;
 }
 
-ResultCacheKey TestKey(uint64_t series_hash, uint64_t digest = 7) {
+ResultCacheKey TestKey(uint64_t series_hash, uint64_t digest = 7,
+                       const std::string& model_id = "m") {
   ResultCacheKey key;
-  key.model_id = "m";
+  key.model_id = model_id;
   key.method = "dcam";
   key.backend = "portable";
   key.series_hash = series_hash;
@@ -307,6 +308,134 @@ TEST(PersistentCacheTierTest, TruncatedSegmentServesItsVerifiedPrefix) {
   EXPECT_FALSE(tier->Get(TestKey(2), series_b, &got));
 }
 
+TEST(PersistentCacheTierTest, ErasedBufferedRecordNeverReachesDisk) {
+  Rng rng(191);
+  const std::string dir = FreshCacheDir("tier2_erase_buffered");
+  const Tensor series_a = RandomSeries(&rng);
+  const Tensor series_b = RandomSeries(&rng);
+  const ExplanationResult recomputed_a = TestResult(&rng, 16);
+  {
+    std::unique_ptr<PersistentCacheTier> tier;
+    ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &tier).ok());
+    tier->Put(TestKey(1, 7, "a"), series_a, TestResult(&rng, 8));
+    EXPECT_EQ(tier->EraseModel("a"), 1u);
+    ASSERT_TRUE(tier->Flush().ok());
+    EXPECT_TRUE(SegmentFiles(dir).empty());
+    // Erased between its Put and the flush, then recomputed under the same
+    // key: only the recomputed record may reach the segment.
+    tier->Put(TestKey(1, 7, "a"), series_a, TestResult(&rng, 8));
+    tier->Put(TestKey(2, 7, "b"), series_b, TestResult(&rng, 8));
+    EXPECT_EQ(tier->EraseModel("a"), 1u);
+    tier->Put(TestKey(1, 7, "a"), series_a, recomputed_a);
+  }
+  ASSERT_EQ(SegmentFiles(dir).size(), 1u);
+  std::unique_ptr<PersistentCacheTier> tier;
+  ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &tier).ok());
+  EXPECT_EQ(tier->entries(), 2u);
+  ExplanationResult got;
+  ASSERT_TRUE(tier->Get(TestKey(1, 7, "a"), series_a, &got));
+  ExpectSameMap(got.map, recomputed_a.map);
+  EXPECT_EQ(got.k, 16);
+  EXPECT_TRUE(tier->Get(TestKey(2, 7, "b"), series_b, &got));
+}
+
+TEST(PersistentCacheTierTest, SegmentSharedByTwoModelsSurvivesEraseOfOne) {
+  Rng rng(192);
+  const std::string dir = FreshCacheDir("tier2_erase_shared");
+  const Tensor series_a = RandomSeries(&rng);
+  const Tensor series_b = RandomSeries(&rng);
+  const ExplanationResult want_b = TestResult(&rng, 8);
+  {
+    std::unique_ptr<PersistentCacheTier> tier;
+    ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &tier).ok());
+    tier->Put(TestKey(1, 7, "a"), series_a, TestResult(&rng, 8));
+    tier->Put(TestKey(2, 7, "b"), series_b, want_b);
+    ASSERT_TRUE(tier->Flush().ok());
+    EXPECT_EQ(tier->EraseModel("a"), 1u);
+    ExplanationResult got;
+    ASSERT_TRUE(tier->Get(TestKey(2, 7, "b"), series_b, &got));
+    ExpectSameMap(got.map, want_b.map);
+  }
+  ASSERT_EQ(SegmentFiles(dir).size(), 1u);
+  std::unique_ptr<PersistentCacheTier> tier;
+  ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &tier).ok());
+  ExplanationResult got;
+  ASSERT_TRUE(tier->Get(TestKey(2, 7, "b"), series_b, &got));
+  ExpectSameMap(got.map, want_b.map);
+}
+
+// A segment is unmapped and its file removed once no index entry points
+// into it: after an erase, after a later segment supersedes it at open, and
+// after its last entry expires on a probe.
+TEST(PersistentCacheTierTest, SegmentWithNoLiveEntryIsRemoved) {
+  Rng rng(193);
+  const std::string dir = FreshCacheDir("tier2_dead_segment");
+  const Tensor series_a = RandomSeries(&rng);
+  const Tensor series_b = RandomSeries(&rng);
+  const ExplanationResult want_b = TestResult(&rng, 8);
+  int64_t now = 1'000'000'000;
+  PersistentCacheTier::Options opts;
+  opts.ttl = std::chrono::nanoseconds(500);
+  opts.now_unix_ns = [&now] { return now; };
+  {
+    std::unique_ptr<PersistentCacheTier> tier;
+    ASSERT_TRUE(PersistentCacheTier::Open(dir, opts, &tier).ok());
+    tier->Put(TestKey(1, 7, "a"), series_a, TestResult(&rng, 8));
+    ASSERT_TRUE(tier->Flush().ok());
+    tier->Put(TestKey(2, 7, "b"), series_b, want_b);
+    ASSERT_TRUE(tier->Flush().ok());
+    ASSERT_EQ(SegmentFiles(dir).size(), 2u);
+    EXPECT_EQ(tier->EraseModel("a"), 1u);
+    EXPECT_EQ(SegmentFiles(dir).size(), 1u);
+    ExplanationResult got;
+    ASSERT_TRUE(tier->Get(TestKey(2, 7, "b"), series_b, &got));
+    ExpectSameMap(got.map, want_b.map);
+  }
+  const std::vector<std::string> survivor = SegmentFiles(dir);
+  ASSERT_EQ(survivor.size(), 1u);
+  const std::string copy = dir + "/cache-999999.dcc";
+  std::filesystem::copy_file(survivor[0], copy);
+
+  std::unique_ptr<PersistentCacheTier> tier;
+  ASSERT_TRUE(PersistentCacheTier::Open(dir, opts, &tier).ok());
+  EXPECT_EQ(tier->segments_loaded(), 2);
+  EXPECT_EQ(SegmentFiles(dir), std::vector<std::string>{copy});
+  ExplanationResult got;
+  ASSERT_TRUE(tier->Get(TestKey(2, 7, "b"), series_b, &got));
+  ExpectSameMap(got.map, want_b.map);
+
+  now += 500;
+  EXPECT_FALSE(tier->Get(TestKey(2, 7, "b"), series_b, &got));
+  EXPECT_EQ(tier->expired(), 1u);
+  EXPECT_TRUE(SegmentFiles(dir).empty());
+}
+
+// Two tiers open over one directory pick the same name for their first
+// segment, so the second rename replaces the first tier's file. The first
+// tier's release of its own (dead) segment must leave that file alone.
+TEST(PersistentCacheTierTest, ReleaseLeavesAnotherTiersSegmentAlone) {
+  Rng rng(194);
+  const std::string dir = FreshCacheDir("tier2_two_tiers");
+  const Tensor series = RandomSeries(&rng);
+  const ExplanationResult want_b = TestResult(&rng, 8);
+  {
+    std::unique_ptr<PersistentCacheTier> a;
+    std::unique_ptr<PersistentCacheTier> b;
+    ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &a).ok());
+    ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &b).ok());
+    a->Put(TestKey(1, 7, "a"), series, TestResult(&rng, 8));
+    ASSERT_TRUE(a->Flush().ok());
+    b->Put(TestKey(2, 7, "b"), series, want_b);
+    ASSERT_TRUE(b->Flush().ok());
+    EXPECT_EQ(a->EraseModel("a"), 1u);
+  }
+  std::unique_ptr<PersistentCacheTier> tier;
+  ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &tier).ok());
+  ExplanationResult got;
+  ASSERT_TRUE(tier->Get(TestKey(2, 7, "b"), series, &got));
+  ExpectSameMap(got.map, want_b.map);
+}
+
 // ---- Service-level: warm restart over the persistent tier ------------------
 
 ExplainRequest DcamRequest(const std::string& model_id, const Tensor& series,
@@ -434,6 +563,45 @@ TEST(ServiceWarmRestartTest, PreviousVersionSegmentFallsBackToCompute) {
   EXPECT_EQ(stats.cache_tier2_hits, 0u);
   EXPECT_EQ(stats.coalesced_batches, 1u);
   EXPECT_TRUE(std::filesystem::exists(segs[0]));
+}
+
+// InvalidateModel, shutdown, and a restart with new weights under the same
+// id: the old weights' map must not come back from disk, whether the record
+// was still buffered at the invalidation or already in a segment.
+TEST(ServiceWarmRestartTest, InvalidatedModelIsNotServedAfterRestart) {
+  for (const size_t flush_bytes : {size_t{1} << 20, size_t{1}}) {
+    SCOPED_TRACE(flush_bytes);
+    Rng rng(100);
+    auto old_model = TinyDcnn(&rng);
+    auto new_model = TinyDcnn(&rng);
+    const std::string dir = FreshCacheDir("tier2_service_invalidate");
+    const ExplainRequest req =
+        DcamRequest("m", RandomSeries(&rng), 0, 5, 10000);
+    ExplainService::Config config;
+    config.cache.persistent_dir = dir;
+    config.cache.flush_bytes = flush_bytes;
+    Tensor old_map;
+    {
+      ExplainService service(config);
+      service.RegisterModel(ModelSpec("m", old_model.get()));
+      old_map = service.Explain(req).map;
+      service.InvalidateModel("m");
+    }
+    EXPECT_TRUE(SegmentFiles(dir).empty());
+
+    Tensor want;
+    {
+      ExplainService reference;
+      reference.RegisterModel(ModelSpec("m", new_model.get()));
+      want = reference.Explain(req).map;
+    }
+    ASSERT_FALSE(SameSeriesBytes(want, old_map));
+
+    ExplainService service(config);
+    service.RegisterModel(ModelSpec("m", new_model.get()));
+    ExpectSameMap(service.Explain(req).map, want);
+    EXPECT_EQ(service.stats().cache_tier2_hits, 0u);
+  }
 }
 
 TEST(ServiceCacheTtlTest, Tier1EntriesExpireOnTheServiceClock) {
