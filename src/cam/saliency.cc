@@ -70,6 +70,7 @@ Tensor InputGradient(models::Model* model, const Tensor& series,
 
   const Tensor batch = series.Reshape({1, d, n});
   const Tensor prepared = model->PrepareInput(batch);
+  nn::GradientScope recording;  // the Backward below reads the forward's caches
   const Tensor logits = model->Forward(prepared, /*training=*/false);
   DCAM_CHECK_EQ(logits.dim(0), 1);
 

@@ -207,11 +207,12 @@ class DcamEngine {
   bool checked_cube_input_ = false;
 
   // Persistent scratch. The cube/CAM batches deliberately keep ordinary
-  // Tensor storage rather than arena storage: the model's layers cache a
-  // shared-storage copy of their input, so the cube must stay valid under
-  // shared ownership that can outlive a flush. Warmth comes from reuse (the
-  // same buffers serve every flush) plus morsel affinity keeping the same
-  // workers — and, when pinned, cores — on the same slices.
+  // Tensor storage rather than arena storage: inside an nn::GradientScope
+  // the model's layers cache a shared-storage copy of their input, so the
+  // cube must stay valid under shared ownership that can outlive a flush.
+  // (An unrecorded eval forward, the engine's own, keeps none.) Warmth comes
+  // from reuse (the same buffers serve every flush) plus morsel affinity
+  // keeping the same workers — and, when pinned, cores — on the same slices.
   Tensor cube_full_, cam_full_;  // batch == config_.batch
   Tensor cube_tail_, cam_tail_;  // most recent partial batch
   std::vector<Slot> pending_;    // slot pool; first pending_count_ are live

@@ -17,7 +17,11 @@ ConvNetConfig ConvNetConfig::Scaled(int factor) const {
 
 ConvNet::ConvNet(InputMode mode, int dims, int num_classes,
                  const ConvNetConfig& config, Rng* rng)
-    : mode_(mode), dims_(dims), num_classes_(num_classes), config_(config) {
+    : mode_(mode),
+      dims_(dims),
+      num_classes_(num_classes),
+      config_(config),
+      body_(/*capture=*/false) {
   DCAM_CHECK_GT(dims, 0);
   DCAM_CHECK_GT(num_classes, 1);
   DCAM_CHECK(!config.filters.empty());
@@ -51,6 +55,7 @@ Tensor ConvNet::PrepareInput(const Tensor& batch) const {
 }
 
 Tensor ConvNet::Forward(const Tensor& input, bool training) {
+  activation_ = Tensor();  // the previous forward's, dropped before this one
   activation_ = body_.Forward(input, training);
   Tensor pooled = gap_.Forward(activation_, training);
   return dense_->Forward(pooled, training);

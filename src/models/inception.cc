@@ -157,6 +157,7 @@ Tensor InceptionTime::BackwardModule(Module* m, const Tensor& grad) {
 }
 
 Tensor InceptionTime::Forward(const Tensor& input, bool training) {
+  activation_ = Tensor();  // the previous forward's, dropped before this one
   Tensor x = input;
   Tensor res = input;
   int group = 0;

@@ -65,8 +65,8 @@ class InceptionTime : public GapModel {
     nn::ReLU relu;
   };
   struct Shortcut {
-    nn::Sequential seq;  // 1x1 conv + BN on the residual input
-    nn::ReLU relu;       // after the addition
+    nn::Sequential seq{/*capture=*/false};  // 1x1 conv + BN on the residual
+    nn::ReLU relu;                          // after the addition
   };
 
   Tensor ForwardModule(Module* m, const Tensor& x, bool training);

@@ -92,6 +92,7 @@ Tensor MtexCnn::Explain(const Tensor& series, int class_idx) {
   DCAM_CHECK_LT(class_idx, num_classes_);
 
   Tensor batch = series.Reshape({1, series.dim(0), series.dim(1)});
+  nn::GradientScope recording;  // the Backward below reads the forward's caches
   Tensor logits = Forward(PrepareInput(batch), /*training=*/false);
 
   // Backward a one-hot gradient of the target class score.

@@ -36,7 +36,7 @@ ResNet::ResNet(InputMode mode, int dims, int num_classes,
       ch = f;
     }
     if (in_ch != f) {
-      block->shortcut = std::make_unique<nn::Sequential>();
+      block->shortcut = std::make_unique<nn::Sequential>(/*capture=*/false);
       block->shortcut->Emplace<nn::Conv2d>(in_ch, f, 1, 1, 0, 0, rng);
       block->shortcut->Emplace<nn::BatchNorm>(f);
     }
@@ -64,7 +64,6 @@ Tensor ResNet::PrepareInput(const Tensor& batch) const {
 }
 
 Tensor ResNet::ForwardBlock(Block* block, const Tensor& x, bool training) {
-  block->cached_input = x;
   Tensor y = block->main.Forward(x, training);
   Tensor s = block->shortcut ? block->shortcut->Forward(x, training) : x;
   ops::AddInPlace(&y, s);
@@ -84,6 +83,7 @@ Tensor ResNet::BackwardBlock(Block* block, const Tensor& grad) {
 }
 
 Tensor ResNet::Forward(const Tensor& input, bool training) {
+  activation_ = Tensor();  // the previous forward's, dropped before this one
   Tensor x = input;
   for (auto& block : blocks_) x = ForwardBlock(block.get(), x, training);
   activation_ = x;

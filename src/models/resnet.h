@@ -49,10 +49,9 @@ class ResNet : public GapModel {
 
  private:
   struct Block {
-    nn::Sequential main;                    // conv/bn/relu x2, conv/bn
+    nn::Sequential main{/*capture=*/false};    // conv/bn/relu x2, conv/bn
     std::unique_ptr<nn::Sequential> shortcut;  // 1x1 conv + bn, or null
-    nn::ReLU relu;                          // applied after the addition
-    Tensor cached_input;
+    nn::ReLU relu;                             // applied after the addition
   };
 
   Tensor ForwardBlock(Block* block, const Tensor& x, bool training);

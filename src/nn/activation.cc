@@ -5,8 +5,8 @@
 namespace dcam {
 namespace nn {
 
-Tensor ReLU::Forward(const Tensor& input, bool /*training*/) {
-  cached_input_ = input;
+Tensor ReLU::Forward(const Tensor& input, bool training) {
+  cached_input_ = RecordsForBackward(training) ? input : Tensor();
   Tensor out(input.shape());
   const float* in = input.data();
   float* o = out.data();

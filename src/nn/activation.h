@@ -18,7 +18,7 @@ class ReLU : public Layer {
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor cached_input_;
+  Tensor cached_input_;  // empty after an unrecorded forward
 };
 
 /// Hyperbolic tangent.

@@ -46,7 +46,8 @@ Tensor BatchNorm::Forward(const Tensor& input, bool training) {
   const Dims d = SplitDims(input, num_features_);
   const int64_t N = d.batch * d.spatial;
   DCAM_CHECK_GT(N, 0);
-  // Drop the previous forward's input before allocating this one's output.
+  // Drop the previous forward's input before allocating this one's output;
+  // only a recorded forward keeps its own.
   cached_input_ = Tensor();
   cached_training_ = training;
 
@@ -91,7 +92,7 @@ Tensor BatchNorm::Forward(const Tensor& input, bool training) {
       }
     }
   }
-  cached_input_ = input;
+  if (RecordsForBackward(training)) cached_input_ = input;
   return out;
 }
 

@@ -44,9 +44,10 @@ class BatchNorm : public Layer {
   Tensor running_mean_;
   Tensor running_var_;
 
-  // What Backward reads of the last Forward. The input shares the caller's
-  // storage; Backward recomputes the normalized input from it, so no
-  // input-sized tensor is written for a gradient that may never be taken.
+  // What Backward reads of the last recorded Forward. The input shares the
+  // caller's storage and stays empty after an unrecorded forward; Backward
+  // recomputes the normalized input from it, so no input-sized tensor is
+  // written for a gradient that may never be taken.
   bool cached_training_ = false;
   Tensor cached_input_;
   Tensor cached_mean_;    // (C) the mean Forward subtracted

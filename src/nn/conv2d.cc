@@ -36,12 +36,12 @@ Tensor Conv2d::Forward(const Tensor& input, bool training) {
   const int64_t Wout = W + 2 * pad_w_ - kernel_w_ + 1;
   DCAM_CHECK_GT(Hout, 0);
   DCAM_CHECK_GT(Wout, 0);
-  cached_input_ = input;
   const bool bf16 =
       !training && gemm::CurrentGemmPrecision() == gemm::Precision::kBf16;
-  cached_bf16_ = bf16;
-  // Only a training forward keeps its columns for Backward; any other
-  // forward drops them before allocating its output.
+  // A recorded float32 forward keeps its input for Backward, and only a
+  // training forward its columns; any other forward drops them before
+  // allocating its output.
+  cached_input_ = !bf16 && RecordsForBackward(training) ? input : Tensor();
   if (!training) col_ = Tensor();
 
   const int64_t Cin = in_channels_, Cout = out_channels_;
@@ -71,8 +71,8 @@ Tensor Conv2d::Forward(const Tensor& input, bool training) {
   if (bf16) {
     // Inference-only bf16 path: the lowered input is written and re-read as
     // 16-bit columns (half the im2col traffic), and the widening GEMM rounds
-    // the weights at pack time. Gradients never see this path: Backward
-    // after it aborts.
+    // the weights at pack time. It never records, so Backward after it
+    // aborts.
     uint16_t* col16 = static_cast<uint16_t*>(arena.Allocate(
         static_cast<size_t>(B * CKK * HW) * sizeof(uint16_t)));
     ParallelFor(0, B, [&](int64_t b) {
@@ -110,7 +110,6 @@ Tensor Conv2d::Forward(const Tensor& input, bool training) {
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {
   DCAM_CHECK(!cached_input_.empty()) << "Backward before Forward";
-  DCAM_CHECK(!cached_bf16_) << "Backward after a bf16 Forward";
   const Tensor& input = cached_input_;
   const int64_t B = input.dim(0), H = input.dim(2), W = input.dim(3);
   const int64_t Cin = in_channels_, Cout = out_channels_;
@@ -186,7 +185,6 @@ Tensor Conv2d::ForwardNaive(const Tensor& input) {
   DCAM_CHECK_GT(Hout, 0);
   DCAM_CHECK_GT(Wout, 0);
   cached_input_ = input;
-  cached_bf16_ = false;
   // The direct loops lower nothing: drop the columns of an earlier forward,
   // so a GEMM Backward lowers this input instead of reading stale columns.
   col_ = Tensor();

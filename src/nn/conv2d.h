@@ -23,10 +23,11 @@ namespace nn {
 ///
 /// Forward/Backward lower the convolution to im2col + SGEMM (tensor/gemm.h).
 /// An eval forward lowers into the calling thread's arena (util/arena.h) and
-/// keeps nothing but its input; a training forward keeps its columns for
-/// Backward; Backward's other scratch lives in the arena too. The direct
-/// per-element loops survive as ForwardNaive/BackwardNaive, the reference
-/// the equivalence tests and naive-vs-kernel benchmarks compare against.
+/// keeps nothing, or only its input inside a GradientScope; a training
+/// forward keeps its input and its columns for Backward; Backward's other
+/// scratch lives in the arena too. The direct per-element loops survive as
+/// ForwardNaive/BackwardNaive, the reference the equivalence tests and
+/// naive-vs-kernel benchmarks compare against.
 class Conv2d : public Layer {
  public:
   Conv2d(int in_channels, int out_channels, int kernel_h, int kernel_w,
@@ -36,11 +37,12 @@ class Conv2d : public Layer {
   Tensor Backward(const Tensor& grad_output) override;
 
   /// Direct-convolution reference path, numerically equivalent to
-  /// Forward/Backward up to float summation order. Either Backward may
-  /// follow either float32 forward: after Forward(x, false) or ForwardNaive
-  /// the GEMM Backward lowers the cached input itself, and its gradients
-  /// are bit-identical to those after Forward(x, true). Backward after a
-  /// bf16 forward aborts.
+  /// Forward/Backward up to float summation order. ForwardNaive always keeps
+  /// its input, so either Backward may follow it or any recorded float32
+  /// forward: after ForwardNaive or Forward(x, false) inside a
+  /// GradientScope the GEMM Backward lowers the cached input itself, and its
+  /// gradients are bit-identical to those after Forward(x, true). Backward
+  /// after an unrecorded forward, bf16 ones included, aborts.
   Tensor ForwardNaive(const Tensor& input);
   Tensor BackwardNaive(const Tensor& grad_output);
 
@@ -61,10 +63,7 @@ class Conv2d : public Layer {
   bool use_bias_;
   Parameter weight_;  // (Cout, Cin, KH, KW)
   Parameter bias_;    // (Cout)
-  Tensor cached_input_;
-  // The last forward ran the inference-only bf16 path, which has no
-  // gradient: Backward aborts.
-  bool cached_bf16_ = false;
+  Tensor cached_input_;  // empty after an unrecorded forward
   // im2col columns of cached_input_, (B, Cin*KH*KW, Hout*Wout), read by the
   // weight gradient. Kept by a training forward only; any other forward
   // drops them, and Backward then lowers cached_input_ into the calling

@@ -22,7 +22,10 @@ Dense::Dense(int in_features, int out_features, Rng* rng, bool use_bias)
 Tensor Dense::Forward(const Tensor& input, bool training) {
   DCAM_CHECK_EQ(input.rank(), 2);
   DCAM_CHECK_EQ(input.dim(1), in_features_);
-  cached_input_ = input;
+  const bool bf16 =
+      !training && gemm::CurrentGemmPrecision() == gemm::Precision::kBf16;
+  // The inference-only bf16 head never records.
+  cached_input_ = !bf16 && RecordsForBackward(training) ? input : Tensor();
   // (B, in) x (out, in)^T -> (B, out), accumulating onto bias-filled rows
   // (beta = 1) so the bias add costs no extra pass.
   const int64_t B = input.dim(0);
@@ -36,7 +39,7 @@ Tensor Dense::Forward(const Tensor& input, bool training) {
     }
     beta = 1.0f;
   }
-  if (!training && gemm::CurrentGemmPrecision() == gemm::Precision::kBf16) {
+  if (bf16) {
     // Inference-only bf16 head: both operands rounded at pack time; the
     // float32 scratch-free layout makes this a pure drop-in.
     gemm::SgemmBf16(false, true, B, out_features_, in_features_, 1.0f,

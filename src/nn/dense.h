@@ -39,7 +39,7 @@ class Dense : public Layer {
   bool use_bias_;
   Parameter weight_;  // (out, in)
   Parameter bias_;    // (out)
-  Tensor cached_input_;
+  Tensor cached_input_;  // empty after an unrecorded forward
 };
 
 }  // namespace nn

@@ -37,10 +37,13 @@ struct Parameter {
 
 /// Base class of all layers.
 ///
-/// Contract: Backward(grad_out) must be called after a matching Forward()
-/// (layers cache activations), consumes the gradient w.r.t. the layer output,
-/// accumulates parameter gradients (+=), and returns the gradient w.r.t. the
-/// layer input.
+/// Contract: Backward(grad_out) follows a matching recorded Forward(): a
+/// training forward, or an eval forward inside a GradientScope on the calling
+/// thread. A recorded forward caches what Backward reads; an unrecorded one
+/// need not keep anything, and a Backward after it may abort ("Backward
+/// before Forward"). A layer may keep more than it must. Backward consumes
+/// the gradient w.r.t. the layer output, accumulates parameter gradients
+/// (+=), and returns the gradient w.r.t. the layer input.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -63,6 +66,25 @@ class Layer {
   /// Short diagnostic name.
   virtual std::string name() const = 0;
 };
+
+/// RAII scope under which the calling thread's eval forwards record what
+/// Backward reads (see Layer), restoring the previous state on destruction.
+/// The gradient explainers open one around the forward they take a gradient
+/// through; every other eval forward keeps only what its caller holds.
+class GradientScope {
+ public:
+  GradientScope();
+  ~GradientScope();
+  GradientScope(const GradientScope&) = delete;
+  GradientScope& operator=(const GradientScope&) = delete;
+
+ private:
+  bool prev_;
+};
+
+/// Whether a forward with this `training` flag records for Backward on the
+/// calling thread: always in training, inside a GradientScope in eval.
+bool RecordsForBackward(bool training);
 
 /// He-uniform initialization (appropriate for ReLU networks): U[-b, b] with
 /// b = sqrt(6 / fan_in).

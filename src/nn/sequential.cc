@@ -11,21 +11,22 @@ Layer* Sequential::Add(std::unique_ptr<Layer> layer) {
 Tensor Sequential::Forward(const Tensor& input, bool training) {
   DCAM_CHECK(!layers_.empty());
   outputs_.clear();
-  outputs_.reserve(layers_.size());
+  if (capture_) outputs_.reserve(layers_.size());
   Tensor x = input;
   for (auto& layer : layers_) {
     x = layer->Forward(x, training);
-    outputs_.push_back(x);
+    if (capture_) outputs_.push_back(x);
   }
+  forwarded_ = true;
   return x;
 }
 
 Tensor Sequential::Backward(const Tensor& grad_output) {
-  DCAM_CHECK_EQ(outputs_.size(), layers_.size()) << "Backward before Forward";
-  output_grads_.assign(layers_.size(), Tensor());
+  DCAM_CHECK(forwarded_) << "Backward before Forward";
+  if (capture_) output_grads_.assign(layers_.size(), Tensor());
   Tensor g = grad_output;
   for (int i = static_cast<int>(layers_.size()) - 1; i >= 0; --i) {
-    output_grads_[i] = g;
+    if (capture_) output_grads_[i] = g;
     g = layers_[i]->Backward(g);
   }
   return g;

@@ -367,10 +367,12 @@ TEST(GoldenTest, ModelLogits) {
 // Logits, input gradient and every parameter gradient of one Forward +
 // Backward under a fixed upstream gradient. A train-mode pass normalizes
 // with batch statistics and takes the full BatchNorm gradient; an eval-mode
-// pass uses the running statistics, as every explainer's backward does.
+// pass uses the running statistics, as every explainer's backward does, and
+// records for Backward inside a GradientScope, as those explainers do.
 uint64_t ForwardBackwardDigest(models::Model* model, const Tensor& batch,
                                bool training) {
   for (nn::Parameter* p : model->Params()) p->ZeroGrad();
+  nn::GradientScope recording;
   const Tensor logits = model->Forward(model->PrepareInput(batch), training);
   const Tensor grad_input =
       model->Backward(RandomTensor(logits.shape(), /*seed=*/9));

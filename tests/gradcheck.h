@@ -28,10 +28,12 @@ inline double WeightedSum(const Tensor& out, const Tensor& w) {
 
 /// Compares analytic gradients of `layer` against central finite differences
 /// for both the input and every parameter. `training` selects the forward
-/// mode. Coordinates are subsampled (stride) to keep runtime bounded.
+/// mode; an eval forward records for Backward inside the GradientScope the
+/// check opens. Coordinates are subsampled (stride) to keep runtime bounded.
 inline void CheckLayerGradients(nn::Layer* layer, const Shape& input_shape,
                                 bool training, double eps = 1e-2,
                                 double tol = 3e-2, uint64_t seed = 1234) {
+  nn::GradientScope recording;
   Rng rng(seed);
   Tensor input(input_shape);
   input.FillNormal(&rng, 0.0f, 1.0f);

@@ -90,11 +90,13 @@ void ExpectSameBits(const Tensor& want, const Tensor& got, const char* what) {
       << what << " gradient bits differ";
 }
 
-// Which forward ran last must not move a gradient bit: the GEMM Backward
-// reads the columns a training forward kept, or lowers the same columns from
-// the cached input itself. Each forward follows a training forward on
-// another input, so stale columns would show.
+// Which recorded forward ran last must not move a gradient bit: the GEMM
+// Backward reads the columns a training forward kept, or lowers the same
+// columns from the cached input itself. Each forward follows a training
+// forward on another input, so stale columns would show. The eval forward
+// records inside the GradientScope.
 TEST(Conv2dBackwardTest, GradientsDoNotDependOnTheForwardMode) {
+  nn::GradientScope recording;
   Rng rng(210);
   Conv2d conv(3, 4, 1, 5, 0, 2, &rng);
   Tensor x({2, 3, 4, 9}), other({2, 3, 4, 9}), grad_out({2, 4, 4, 9});
@@ -124,20 +126,81 @@ TEST(Conv2dBackwardTest, GradientsDoNotDependOnTheForwardMode) {
   }
 }
 
-TEST(Conv2dBackwardTest, BackwardAfterBf16ForwardAborts) {
+// A Backward after `forward` aborts on the layer's "Backward before Forward"
+// check. A training forward on the same input comes first, so a cache the
+// forward under test left standing would show.
+void ExpectBackwardAbortsAfter(Layer* layer, const Shape& shape,
+                               Tensor (*forward)(Layer*, const Tensor&)) {
   // The global pool is running by now: re-execute the binary for the death
   // test instead of forking a process with live worker threads.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Rng rng(211);
-  Conv2d conv(2, 3, 1, 3, 0, 1, &rng);
-  Tensor x({1, 2, 2, 8});
+  Tensor x(shape);
   x.FillNormal(&rng, 0.0f, 1.0f);
-  Tensor out;
+  layer->Forward(x, /*training=*/true);
+  const Tensor out = forward(layer, x);
+  EXPECT_DEATH(layer->Backward(out), "Backward before Forward");
+}
+
+// A bf16 forward never records, not even inside a GradientScope.
+Tensor Bf16EvalForwardInScope(Layer* layer, const Tensor& x) {
+  GradientScope recording;
+  gemm::ScopedGemmPrecision bf16(gemm::Precision::kBf16);
+  return layer->Forward(x, /*training=*/false);
+}
+
+TEST(Conv2dBackwardTest, BackwardAfterBf16ForwardAborts) {
+  Rng rng(211);
+  Conv2d conv(2, 3, 1, 3, 0, 1, &rng);
+  ExpectBackwardAbortsAfter(&conv, {1, 2, 2, 8}, Bf16EvalForwardInScope);
+}
+
+TEST(DenseBackwardTest, BackwardAfterBf16ForwardAborts) {
+  Rng rng(212);
+  Dense dense(5, 3, &rng);
+  ExpectBackwardAbortsAfter(&dense, {2, 5}, Bf16EvalForwardInScope);
+}
+
+TEST(RecordingTest, GradientScopeNestsAndRestores) {
+  EXPECT_TRUE(RecordsForBackward(/*training=*/true));
+  EXPECT_FALSE(RecordsForBackward(/*training=*/false));
   {
-    gemm::ScopedGemmPrecision bf16(gemm::Precision::kBf16);
-    out = conv.Forward(x, /*training=*/false);
+    GradientScope outer;
+    {
+      GradientScope inner;
+      EXPECT_TRUE(RecordsForBackward(/*training=*/false));
+    }
+    EXPECT_TRUE(RecordsForBackward(/*training=*/false));
   }
-  EXPECT_DEATH(conv.Backward(out), "DCAM_CHECK failed");
+  EXPECT_FALSE(RecordsForBackward(/*training=*/false));
+}
+
+// An eval forward outside a GradientScope records nothing, so a Backward
+// after it aborts even though a training forward came before.
+Tensor UnrecordedEvalForward(Layer* layer, const Tensor& x) {
+  return layer->Forward(x, /*training=*/false);
+}
+
+TEST(RecordingTest, BackwardAfterUnrecordedConv2dForwardAborts) {
+  Rng rng(213);
+  Conv2d conv(2, 3, 1, 3, 0, 1, &rng);
+  ExpectBackwardAbortsAfter(&conv, {2, 2, 3, 8}, UnrecordedEvalForward);
+}
+
+TEST(RecordingTest, BackwardAfterUnrecordedBatchNormForwardAborts) {
+  BatchNorm bn(3);
+  ExpectBackwardAbortsAfter(&bn, {2, 3, 2, 5}, UnrecordedEvalForward);
+}
+
+TEST(RecordingTest, BackwardAfterUnrecordedReluForwardAborts) {
+  ReLU relu;
+  ExpectBackwardAbortsAfter(&relu, {2, 3, 7}, UnrecordedEvalForward);
+}
+
+TEST(RecordingTest, BackwardAfterUnrecordedDenseForwardAborts) {
+  Rng rng(214);
+  Dense dense(5, 3, &rng);
+  ExpectBackwardAbortsAfter(&dense, {2, 5}, UnrecordedEvalForward);
 }
 
 TEST(DenseGradTest, MatchesFiniteDifferences) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -261,6 +262,67 @@ TEST(InceptionTest, ActivationChannelsAreFourTimesFilters) {
   batch.FillNormal(&rng, 0.0f, 1.0f);
   model.Forward(model.PrepareInput(batch), false);
   EXPECT_EQ(model.last_activation().dim(1), 4 * cfg.filters);
+}
+
+// An eval forward outside a GradientScope records nothing, so a Backward
+// after it aborts even though a training forward came before.
+void ExpectBackwardAbortsAfterUnrecordedForward(Model* model) {
+  // The global pool is running by now: re-execute the binary for the death
+  // test instead of forking a process with live worker threads.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(15);
+  Tensor batch({2, kDims, kLen});
+  batch.FillNormal(&rng, 0.0f, 1.0f);
+  const Tensor input = model->PrepareInput(batch);
+  model->Forward(input, /*training=*/true);
+  const Tensor logits = model->Forward(input, /*training=*/false);
+  EXPECT_DEATH(model->Backward(logits), "Backward before Forward");
+}
+
+TEST(RecordingTest, BackwardAfterUnrecordedDcnnForwardAborts) {
+  Rng rng(16);
+  ConvNet model(InputMode::kCube, kDims, kClasses,
+                ConvNetConfig().Scaled(kScale), &rng);
+  ExpectBackwardAbortsAfterUnrecordedForward(&model);
+}
+
+TEST(RecordingTest, BackwardAfterUnrecordedDresnetForwardAborts) {
+  Rng rng(17);
+  ResNet model(InputMode::kCube, kDims, kClasses,
+               ResNetConfig().Scaled(kScale), &rng);
+  ExpectBackwardAbortsAfterUnrecordedForward(&model);
+}
+
+TEST(RecordingTest, BackwardAfterUnrecordedDinceptionTimeForwardAborts) {
+  Rng rng(18);
+  InceptionTime model(InputMode::kCube, kDims, kClasses,
+                      InceptionConfig().Scaled(kScale), &rng);
+  ExpectBackwardAbortsAfterUnrecordedForward(&model);
+}
+
+void ExpectSameBits(const Tensor& want, const Tensor& got, const char* what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                           static_cast<size_t>(want.size()) * sizeof(float)))
+      << what << " bits differ";
+}
+
+// Recording for Backward keeps tensors alive and moves no bit. No golden
+// digest covers dInceptionTime, so its recorded and unrecorded eval forwards
+// are compared here.
+TEST(RecordingTest, DinceptionTimeForwardBitsDoNotDependOnRecording) {
+  Rng rng(19);
+  InceptionTime model(InputMode::kCube, kDims, kClasses,
+                      InceptionConfig().Scaled(16), &rng);
+  Tensor batch({2, kDims, kLen});
+  batch.FillNormal(&rng, 0.0f, 1.0f);
+  const Tensor input = model.PrepareInput(batch);
+  model.Forward(input, /*training=*/true);  // move BatchNorm off its defaults
+  const Tensor logits = model.Forward(input, /*training=*/false);
+  const Tensor activation = model.last_activation();
+  nn::GradientScope recording;
+  ExpectSameBits(logits, model.Forward(input, /*training=*/false), "logits");
+  ExpectSameBits(activation, model.last_activation(), "last activation");
 }
 
 TEST(MtexTest, ExplainShapeMatchesInput) {
