@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <random>
 
 #include "io/atomic_file.h"
 #include "util/check.h"
@@ -38,8 +39,18 @@ namespace {
 constexpr char kMagic[8] = {'D', 'C', 'A', 'M', 'R', 'C', '1', '\0'};
 constexpr uint32_t kVersion = 2;
 constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8;
+// A segment is named cache-<seq>-<token>.dcc. Each tier takes <seq> from its
+// own directory listing at open, so two tiers over one directory (two
+// services sharing a persistent_dir) pick the same sequence; <token>, random
+// per tier, keeps one's segment from being renamed over the other's. Names
+// without a token, cache-<seq>.dcc, are still loaded.
 constexpr char kSegmentPrefix[] = "cache-";
 constexpr char kSegmentSuffix[] = ".dcc";
+
+uint64_t RandomNameToken() {
+  std::random_device device;
+  return (static_cast<uint64_t>(device()) << 32) | device();
+}
 
 void AppendRaw(std::string* out, const void* data, size_t n) {
   out->append(static_cast<const char*>(data), n);
@@ -187,7 +198,9 @@ bool SameSeriesBytes(const Tensor& a, const Tensor& b) {
 }
 
 PersistentCacheTier::PersistentCacheTier(std::string dir, Options options)
-    : dir_(std::move(dir)), options_(std::move(options)) {}
+    : dir_(std::move(dir)),
+      options_(std::move(options)),
+      name_token_(RandomNameToken()) {}
 
 io::Status PersistentCacheTier::Open(
     const std::string& dir, const Options& options,
@@ -217,7 +230,8 @@ io::Status PersistentCacheTier::Open(
   std::unique_ptr<PersistentCacheTier> tier(
       new PersistentCacheTier(dir, options));
   // Scan for existing segments, sorted by name so "last written wins" holds
-  // for a key spilled more than once across process lifetimes.
+  // for a key spilled more than once across process lifetimes: a later
+  // sequence supersedes an earlier one.
   std::vector<std::string> names;
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) {
@@ -242,7 +256,7 @@ io::Status PersistentCacheTier::Open(
         name.size() - (sizeof(kSegmentPrefix) - 1) - (sizeof(kSegmentSuffix) - 1));
     char* end = nullptr;
     const uint64_t seq = std::strtoull(seq_str.c_str(), &end, 10);
-    if (end != nullptr && *end == '\0') {
+    if (end != nullptr && (*end == '\0' || *end == '-')) {
       tier->next_segment_seq_ = std::max(tier->next_segment_seq_, seq + 1);
     }
     Segment segment;
@@ -308,9 +322,9 @@ void PersistentCacheTier::ReleaseLocked(int segment) {
   if (--s.live > 0) return;
   s.file.Close();
   // A file with records the walk could not verify may hold what this build
-  // cannot judge; only a fully read one is known to be dead. Another tier
-  // over the same directory may have renamed its own segment onto the path
-  // since; that file was never read here either.
+  // cannot judge; only a fully read one is known to be dead. Another writer
+  // may have renamed a file onto the path since; that file was never read
+  // here either.
   if (s.complete && FileIdentity(s.path) == s.identity) {
     std::remove(s.path.c_str());
   }
@@ -474,9 +488,9 @@ io::Status PersistentCacheTier::FlushLocked() {
     return io::Status::Ok();
   }
   char name[64];
-  std::snprintf(name, sizeof name, "%s%06llu%s", kSegmentPrefix,
+  std::snprintf(name, sizeof name, "%s%06llu-%016llx%s", kSegmentPrefix,
                 static_cast<unsigned long long>(next_segment_seq_),
-                kSegmentSuffix);
+                static_cast<unsigned long long>(name_token_), kSegmentSuffix);
   Segment segment;
   segment.path = dir_ + "/" + name;
   segment.complete = true;

@@ -15,7 +15,10 @@
 //                                immutable segment, written atomically via
 //                                io::AtomicFileWriter (tmp + fsync + rename —
 //                                a crash never leaves a torn segment under
-//                                the final name)
+//                                the final name). The name carries a
+//                                sequence number and a token random per
+//                                tier, so two tiers over one directory never
+//                                write the same name
 //   open                      -> every segment in the directory is mmap'd
 //                                read-only (util/mmap; buffered fallback
 //                                off-POSIX) and walked once: header magic /
@@ -204,6 +207,7 @@ class PersistentCacheTier {
   std::string buffer_;  // serialized records awaiting flush
   std::vector<std::pair<ResultCacheKey, Loc>> buffered_;  // Locs into buffer_
   uint64_t next_segment_seq_ = 0;
+  const uint64_t name_token_;  // random; in every segment name this tier writes
   int segments_loaded_ = 0;
   int segments_rejected_ = 0;
   uint64_t hits_ = 0;

@@ -410,9 +410,71 @@ TEST(PersistentCacheTierTest, SegmentWithNoLiveEntryIsRemoved) {
   EXPECT_TRUE(SegmentFiles(dir).empty());
 }
 
-// Two tiers open over one directory pick the same name for their first
-// segment, so the second rename replaces the first tier's file. The first
-// tier's release of its own (dead) segment must leave that file alone.
+// Two tiers open over one directory pick the same sequence for their first
+// segment. Each tier's own token keeps the names apart, so the second flush
+// leaves the first tier's segment in place, and a tier opened afterwards
+// serves both records.
+TEST(PersistentCacheTierTest, TwoTiersOverOneDirectoryKeepBothSegments) {
+  Rng rng(195);
+  const std::string dir = FreshCacheDir("tier2_shared_dir");
+  const Tensor series = RandomSeries(&rng);
+  const ExplanationResult want_a = TestResult(&rng, 8);
+  const ExplanationResult want_b = TestResult(&rng, 8);
+  {
+    std::unique_ptr<PersistentCacheTier> a;
+    std::unique_ptr<PersistentCacheTier> b;
+    ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &a).ok());
+    ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &b).ok());
+    a->Put(TestKey(1), series, want_a);
+    ASSERT_TRUE(a->Flush().ok());
+    b->Put(TestKey(2), series, want_b);
+    ASSERT_TRUE(b->Flush().ok());
+  }
+  EXPECT_EQ(SegmentFiles(dir).size(), 2u);
+  std::unique_ptr<PersistentCacheTier> tier;
+  ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &tier).ok());
+  EXPECT_EQ(tier->segments_loaded(), 2);
+  ExplanationResult got;
+  ASSERT_TRUE(tier->Get(TestKey(1), series, &got));
+  ExpectSameMap(got.map, want_a.map);
+  ASSERT_TRUE(tier->Get(TestKey(2), series, &got));
+  ExpectSameMap(got.map, want_b.map);
+}
+
+// Sequence numbers still order segments across tiers: a tier that opened
+// after a sequence-0 segment existed writes sequence 1, which supersedes a
+// sequence-0 record of the same key from a tier that opened earlier.
+TEST(PersistentCacheTierTest, LaterSequenceSupersedesAcrossTiers) {
+  Rng rng(196);
+  const std::string dir = FreshCacheDir("tier2_shared_dir_supersede");
+  const Tensor series = RandomSeries(&rng);
+  const ExplanationResult stale = TestResult(&rng, 8);
+  const ExplanationResult want = TestResult(&rng, 8);
+  {
+    std::unique_ptr<PersistentCacheTier> early;
+    ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &early).ok());
+    {
+      std::unique_ptr<PersistentCacheTier> first;
+      ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &first).ok());
+      first->Put(TestKey(9), series, TestResult(&rng, 8));
+      ASSERT_TRUE(first->Flush().ok());  // sequence 0
+    }
+    std::unique_ptr<PersistentCacheTier> late;
+    ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &late).ok());
+    early->Put(TestKey(1), series, stale);
+    ASSERT_TRUE(early->Flush().ok());  // sequence 0
+    late->Put(TestKey(1), series, want);
+    ASSERT_TRUE(late->Flush().ok());  // sequence 1
+  }
+  std::unique_ptr<PersistentCacheTier> tier;
+  ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &tier).ok());
+  ExplanationResult got;
+  ASSERT_TRUE(tier->Get(TestKey(1), series, &got));
+  ExpectSameMap(got.map, want.map);
+}
+
+// Two tiers open over one directory. The first tier's release of its own
+// (dead) segment must leave the second tier's segment alone.
 TEST(PersistentCacheTierTest, ReleaseLeavesAnotherTiersSegmentAlone) {
   Rng rng(194);
   const std::string dir = FreshCacheDir("tier2_two_tiers");
