@@ -466,6 +466,12 @@ TEST(PersistentCacheTierTest, LaterSequenceSupersedesAcrossTiers) {
     late->Put(TestKey(1), series, want);
     ASSERT_TRUE(late->Flush().ok());  // sequence 1
   }
+  const std::string sequence_one = dir + "/cache-000001-";
+  int named_one = 0;
+  for (const std::string& path : SegmentFiles(dir)) {
+    named_one += path.compare(0, sequence_one.size(), sequence_one) == 0;
+  }
+  EXPECT_EQ(named_one, 1);
   std::unique_ptr<PersistentCacheTier> tier;
   ASSERT_TRUE(PersistentCacheTier::Open(dir, {}, &tier).ok());
   ExplanationResult got;
