@@ -69,8 +69,9 @@ class Layer {
 
 /// RAII scope under which the calling thread's eval forwards record what
 /// Backward reads (see Layer), restoring the previous state on destruction.
-/// The gradient explainers open one around the forward they take a gradient
-/// through; every other eval forward keeps only what its caller holds.
+/// A caller that takes a gradient through an eval forward opens one around
+/// it. Inference-only paths (the bf16 forwards) record nothing even inside
+/// one.
 class GradientScope {
  public:
   GradientScope();
